@@ -2,7 +2,9 @@
 
 Every command is deterministic under --seed and writes plain JSON/CSV/JSONL
 artifacts into --out. Exit codes: 0 success, 2 usage or validation, 3 data
-problems, 4 numerical divergence. KCOD_THREADS caps parallel sweep cells.
+problems, 4 numerical divergence. KCOD_THREADS caps parallel sweep cells;
+each sweep worker runs numpy's OpenBLAS on one thread, unless
+OPENBLAS_NUM_THREADS or OMP_NUM_THREADS is set.
 """
 
 from __future__ import annotations
@@ -10,6 +12,7 @@ from __future__ import annotations
 import argparse
 import concurrent.futures
 import csv
+import ctypes
 import dataclasses
 import json
 import os
@@ -18,10 +21,9 @@ import sys
 from .cluster import (
     CLUSTER_MODES,
     KccConfig,
-    assign_batch,
     cluster_train,
     estimate_k,
-    kmeans,
+    predict_clusters,
     write_cluster_log,
 )
 from .data import (
@@ -247,11 +249,7 @@ def cluster_stage(config: RunConfig, ood_path: str, checkpoint_path: str, out_di
         mode=config.mode,
         learning_rate=config.lr_cluster,
     )
-    if config.mode == "instance_only":
-        out = forward_batch(best, ood.features)
-        clusters = kmeans(out.f, cluster_count, seed=config.seed).assignments
-    else:
-        clusters = assign_batch(best, ood.features)
+    clusters = predict_clusters(forward_batch(best, ood.features), config.mode, config.seed)
     assignments_path = os.path.join(out_dir, "assignments.jsonl")
     save_assignments(ood.ids, clusters, assignments_path)
     ckpt = os.path.join(out_dir, "cluster_checkpoint.json")
@@ -358,6 +356,45 @@ def _run_sweep_cell(payload: tuple[str, dict, str, str]) -> dict:
     }
 
 
+BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
+OPENBLAS_SETTERS = (
+    "scipy_openblas_set_num_threads64_",
+    "scipy_openblas_set_num_threads",
+    "openblas_set_num_threads64_",
+    "openblas_set_num_threads",
+)
+
+
+def _loaded_openblas() -> list[str]:
+    """Paths of the OpenBLAS libraries mapped into this process; empty off Linux."""
+    try:
+        with open("/proc/self/maps", "r", encoding="utf-8") as fh:
+            return sorted({line.split()[-1] for line in fh if "openblas" in line.lower()})
+    except OSError:
+        return []
+
+
+def _single_blas_thread() -> None:
+    """Sweep worker initializer: run every loaded OpenBLAS on one thread.
+
+    The workers already split the cells between them, so BLAS threads on top
+    would only oversubscribe the cores. Nothing changes when the user set a
+    BLAS thread variable or no OpenBLAS is loaded.
+    """
+    if any(name in os.environ for name in BLAS_THREAD_VARIABLES):
+        return
+    for path in _loaded_openblas():
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        setter = next((getattr(lib, n) for n in OPENBLAS_SETTERS if hasattr(lib, n)), None)
+        if setter is not None:
+            setter.argtypes = [ctypes.c_int]
+            setter.restype = None
+            setter(1)
+
+
 def run_sweep(config: RunConfig, out_dir: str) -> str:
     """One full run per grid cell on shared data; rows land in sweep.csv in grid order."""
     data_dir = os.path.join(out_dir, "data")
@@ -373,7 +410,9 @@ def run_sweep(config: RunConfig, out_dir: str) -> str:
     if threads == 1:
         rows = [_run_sweep_cell(p) for p in payloads]
     else:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=threads) as pool:
+        with concurrent.futures.ProcessPoolExecutor(
+            max_workers=threads, initializer=_single_blas_thread
+        ) as pool:
             rows = list(pool.map(_run_sweep_cell, payloads))
     csv_path = os.path.join(out_dir, "sweep.csv")
     with open(csv_path, "w", encoding="utf-8", newline="") as fh:

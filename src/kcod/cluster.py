@@ -19,10 +19,17 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .contrast import contrastive_terms, cosine_rows, cosine_rows_backward, stable_top_k
+from .contrast import (
+    cosine_rows,
+    cosine_rows_backward,
+    masked_info_nce,
+    stable_top_k,
+    stable_top_k_mask,
+)
 from .data import Dataset
 from .encoder import (
     AdamState,
+    BatchForward,
     EncoderModel,
     accumulate_grads,
     adam_step,
@@ -32,7 +39,7 @@ from .encoder import (
     two_views_batch,
 )
 from .errors import MetricUndefinedError, ParameterError
-from .metrics import silhouette
+from .metrics import silhouette_gram
 from .numerics import as_mat64
 
 CLUSTER_MODES = ("kcod", "kcod_wo_kcc", "instance_only", "cluster_only")
@@ -99,6 +106,16 @@ class ClusterBatchState:
         return (i + self.n) % (2 * self.n)
 
 
+def _partner_masks(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Partner (row i -> (i + m/2) mod m) and other off-diagonal masks of an m x m matrix."""
+    rows = np.arange(m)
+    pos = np.zeros((m, m), dtype=bool)
+    pos[rows, (rows + m // 2) % m] = True
+    neg = ~pos
+    neg[rows, rows] = False
+    return pos, neg
+
+
 def _pair_contrast(sims: np.ndarray, half: int, tau: float) -> tuple[float, np.ndarray]:
     """Mean contrastive loss over all rows of a 2*half similarity matrix.
 
@@ -106,17 +123,8 @@ def _pair_contrast(sims: np.ndarray, half: int, tau: float) -> tuple[float, np.n
     entry is a negative. Returns the loss and d(loss)/d(sims) with zero
     diagonal.
     """
-    m = 2 * half
-    loss = 0.0
-    d_sims = np.zeros_like(sims)
-    for i in range(m):
-        j = (i + half) % m
-        negs = np.asarray([k for k in range(m) if k != i and k != j])
-        li, d_pos, d_neg = contrastive_terms(float(sims[i, j]), sims[i, negs], tau)
-        loss += li / m
-        d_sims[i, j] += d_pos / m
-        d_sims[i, negs] += d_neg / m
-    return loss, d_sims
+    pos, neg = _partner_masks(2 * half)
+    return masked_info_nce(sims, pos, neg, tau, 1.0 / (2 * half))
 
 
 def cluster_level_loss(state: ClusterBatchState, tau_clu: float) -> tuple[float, np.ndarray, np.ndarray]:
@@ -199,21 +207,22 @@ def build_hard_negative_set(state: ClusterBatchState, i: int, config: KccConfig)
 def kcc_loss(state: ClusterBatchState, config: KccConfig) -> tuple[float, np.ndarray]:
     """Instance contrast against the filtered-and-mined hard negative sets.
 
-    Anchors whose negative set comes out empty contribute 0. The negative
-    selection acts as a constant: gradients flow only through the cosine
-    similarities that remain in play, and only to the instance features.
+    Row i's candidates are the views whose probability dot product with it
+    stays below the threshold, minus itself and its partner; the k_neg most
+    cosine-similar of them (ties to the lower index) are its negatives, as
+    ``build_hard_negative_set`` picks them for one anchor. Anchors whose
+    negative set comes out empty contribute 0. The negative selection acts
+    as a constant: gradients flow only through the cosine similarities that
+    remain in play, and only to the instance features.
     """
     m = 2 * state.n
     sims, cache = cosine_rows(state.f_views)
-    loss = 0.0
-    d_sims = np.zeros_like(sims)
-    for i in range(m):
-        hard = build_hard_negative_set(state, i, config)
-        j = hard.positive
-        li, d_pos, d_neg = contrastive_terms(float(sims[i, j]), sims[i, hard.negatives], config.tau)
-        loss += li / m
-        d_sims[i, j] += d_pos / m
-        d_sims[i, hard.negatives] += d_neg / m
+    g_all = state.g_all()
+    pos, off = _partner_masks(m)
+    candidates = (g_all @ g_all.T) < config.threshold
+    candidates &= off
+    negatives = stable_top_k_mask(sims, candidates, config.k_neg)
+    loss, d_sims = masked_info_nce(sims, pos, negatives, config.tau, 1.0 / m)
     return loss, cosine_rows_backward(cache, d_sims)
 
 
@@ -253,11 +262,15 @@ def assign_batch(model: EncoderModel, x: np.ndarray) -> np.ndarray:
     return np.argmax(out.g, axis=1).astype(np.int64)
 
 
-def _epoch_assignments(model: EncoderModel, features: np.ndarray, mode: str, seed: int) -> np.ndarray:
-    if mode == "instance_only":  # untouched cluster head: fall back to k-means on f
-        out = forward_batch(model, features)
-        return kmeans(out.f, model.cluster_count, seed=seed).assignments
-    return assign_batch(model, features)
+def predict_clusters(out: BatchForward, mode: str, seed: int) -> np.ndarray:
+    """Cluster ids from one forward pass: argmax of g, or k-means on f in instance_only.
+
+    instance_only never trains the cluster head, so its argmax means nothing;
+    seeded k-means on the instance features stands in.
+    """
+    if mode == "instance_only":
+        return kmeans(out.f, out.g.shape[1], seed=seed).assignments
+    return np.argmax(out.g, axis=1).astype(np.int64)
 
 
 def cluster_train(
@@ -275,7 +288,8 @@ def cluster_train(
     Modes: kcod = column contrast + KCC + regularizer; kcod_wo_kcc swaps KCC
     for the plain instance contrast; instance_only and cluster_only drop one
     head entirely. Deterministic under seed. Labels in the dataset are never
-    read here.
+    read here. Epochs are ranked by ``silhouette_gram``, the score the log's
+    ``sc`` holds.
     """
     if mode not in CLUSTER_MODES:
         raise ParameterError(f"mode must be one of {CLUSTER_MODES}, got '{mode}'")
@@ -345,10 +359,10 @@ def cluster_train(
             batches += 1
         clu_mean, ins_mean, reg_mean = (float(v) for v in sums / max(batches, 1))
         eval_seed = int(np.random.SeedSequence((seed, epoch)).generate_state(1)[0])
-        pred = _epoch_assignments(model, x, mode, eval_seed)
         out = forward_batch(model, x)
+        pred = predict_clusters(out, mode, eval_seed)
         try:
-            sc = silhouette(out.f, pred)
+            sc = silhouette_gram(out.f, pred)
         except MetricUndefinedError:
             sc = float("nan")
         log.append(ClusterEpoch(epoch, clu_mean, ins_mean, reg_mean, sc))

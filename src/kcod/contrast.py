@@ -11,8 +11,11 @@ with gradients
     d loss / d s_pos   = (1/tau) * (exp(s_pos/tau) / denominator - 1)
 
 so dropping a negative from the set shrinks the denominator and strictly
-increases the gradient on every remaining negative. The helper computes
-both sides stably (max-shifted exponentials).
+increases the gradient on every remaining negative. ``contrastive_terms``
+computes both sides for one anchor; ``masked_info_nce`` does the same for a
+whole similarity matrix at once, with boolean masks naming each row's
+positives and negatives, so every loss in the package is a mask builder
+around it. Both shift the exponentials by a maximum for stability.
 
 Also here: the pairwise cosine-similarity matrix of a row set and its
 backward pass, used by the instance-, cluster- and KCC-level losses.
@@ -84,3 +87,64 @@ def stable_top_k(scores: np.ndarray, k: int) -> np.ndarray:
         return np.zeros(0, dtype=np.int64)
     order = np.argsort(-scores, kind="stable")
     return order[: min(k, scores.size)]
+
+
+def stable_top_k_mask(scores: np.ndarray, candidates: np.ndarray, k: int) -> np.ndarray:
+    """Per row, the k candidates with the largest scores, ties to the lower index.
+
+    ``candidates`` is a boolean matrix of the same shape as ``scores``; a row
+    with at most k candidates keeps them all. The row-by-row equivalent is
+    ``stable_top_k`` over that row's candidate scores.
+    """
+    if k < 1:
+        return np.zeros_like(candidates)
+    count = np.count_nonzero(candidates, axis=1)
+    if k >= count.max(initial=0):
+        return candidates.copy()
+    masked = np.where(candidates, scores, -np.inf)
+    selected = np.zeros_like(candidates)
+    rows = np.arange(scores.shape[0])
+    for t in range(k):
+        col = np.argmax(masked, axis=1)  # first maximum = lowest index
+        live = t < count
+        selected[rows[live], col[live]] = True
+        masked[rows, col] = -np.inf
+    return selected
+
+
+def masked_info_nce(
+    sims: np.ndarray, pos_mask: np.ndarray, neg_mask: np.ndarray, tau: float, row_scale: float
+) -> tuple[float, np.ndarray]:
+    """``contrastive_terms`` for every (row, positive) pair of a similarity matrix.
+
+    Row i with P_i positives (``pos_mask``) and negative set N_i
+    (``neg_mask``, disjoint from the positives) adds, for each positive j,
+
+        row_scale_i / P_i * -log( e_ij / (e_ij + sum_{k in N_i} e_ik) ),
+
+    with e = exp(sims / tau): row_scale is 1 for a summed loss and 1/m for a
+    mean over m rows. A row without positives adds nothing, and a row whose
+    negative set is empty adds 0. Returns the summed loss and d(loss)/d(sims),
+    zero outside the masks.
+    """
+    if tau <= 0:
+        raise ParameterError(f"temperature must be positive, got {tau}")
+    z = np.divide(sims, tau)
+    live = pos_mask | neg_mask
+    shift = np.max(z, axis=1, keepdims=True, where=live, initial=-np.inf)
+    shift[np.isinf(shift)] = 0.0
+    z -= shift
+    e = np.exp(z, out=np.zeros_like(z), where=live)
+    neg_sum = np.sum(e, axis=1, where=neg_mask)
+    rows, cols = np.nonzero(pos_mask)
+    n_pos = np.bincount(rows, minlength=z.shape[0])
+    weight = row_scale / np.maximum(n_pos, 1)
+    e_pos = e[rows, cols]
+    denom = e_pos + neg_sum[rows]
+    w_pos = weight[rows]
+    loss = float(np.sum(w_pos * (np.log(denom) - z[rows, cols])))
+    inv_denom = np.bincount(rows, weights=w_pos / denom, minlength=z.shape[0])
+    d_sims = np.multiply(e, (inv_denom / tau)[:, None], out=z)
+    d_sims *= neg_mask
+    d_sims[rows, cols] = w_pos * (e_pos / denom - 1.0) / tau
+    return loss, d_sims

@@ -152,14 +152,48 @@ def nmi(pred, truth, average: str = "geometric") -> float:
     return min(max(info / denom, 0.0), 1.0)
 
 
-def pairwise_distances(features: np.ndarray) -> np.ndarray:
-    """Euclidean distance matrix, row by row from explicit differences."""
+SILHOUETTE_BLOCK = 256  # distance rows held at once by the silhouette scores
+
+
+def pairwise_distances(
+    features: np.ndarray, start: int = 0, stop: int | None = None, out: np.ndarray | None = None
+) -> np.ndarray:
+    """Euclidean distances of rows start..stop-1 to every row, from explicit differences.
+
+    With the default range this is the full distance matrix. ``out``, when
+    given, is a (stop - start, n) buffer the rows are written into.
+    """
     f = as_mat64(features)
     n = f.shape[0]
-    d = np.empty((n, n))
-    for i in range(n):
-        d[i] = np.sqrt(((f - f[i]) ** 2).sum(axis=1))
+    stop = n if stop is None else stop
+    d = np.empty((stop - start, n)) if out is None else out
+    diff = np.empty_like(f)
+    for r, i in enumerate(range(start, stop)):
+        np.subtract(f, f[i], out=diff)
+        np.square(diff, out=diff)
+        np.sum(diff, axis=1, out=d[r])
+        np.sqrt(d[r], out=d[r])
     return d
+
+
+def _silhouette_labels(features, assignments) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Validated features, dense cluster index per row, and cluster sizes."""
+    f = as_mat64(features)
+    y = _as_labels(assignments)
+    if y.size != f.shape[0]:
+        raise ParameterError("one assignment per feature row required")
+    values, inv = np.unique(y, return_inverse=True)
+    if values.size < 2:
+        raise MetricUndefinedError("silhouette needs at least 2 clusters")
+    return f, inv, np.bincount(inv)
+
+
+def _silhouette_values(a: np.ndarray, b: np.ndarray, alone: np.ndarray) -> np.ndarray:
+    """Per-point (b - a) / max(a, b); 0 for singletons and for a = b = 0."""
+    top = np.maximum(a, b)
+    scores = np.zeros(a.size)
+    np.divide(b - a, top, out=scores, where=(top != 0.0) & ~alone)
+    return scores
 
 
 def silhouette(features, assignments) -> float:
@@ -168,29 +202,68 @@ def silhouette(features, assignments) -> float:
     a_i is the mean Euclidean distance to the rest of the point's own cluster,
     b_i the smallest per-other-cluster mean distance. Singleton clusters score
     0, as do points with a_i = b_i = 0.
+
+    Exact: every mean is a 1-D reduce over contiguous distances in index
+    order, the arithmetic of the plain per-point loop. Distances are computed
+    SILHOUETTE_BLOCK rows at a time, so memory grows with N, not N^2.
     """
-    f = as_mat64(features)
-    y = _as_labels(assignments)
-    if y.size != f.shape[0]:
-        raise ParameterError("one assignment per feature row required")
-    values, inv = np.unique(y, return_inverse=True)
-    if values.size < 2:
-        raise MetricUndefinedError("silhouette needs at least 2 clusters")
-    d = pairwise_distances(f)
-    masks = [inv == c for c in range(values.size)]
-    sizes = np.asarray([int(m.sum()) for m in masks])
-    scores = np.zeros(y.size)
-    for i in range(y.size):
-        c = inv[i]
-        if sizes[c] == 1:
-            continue
-        own = masks[c].copy()
-        own[i] = False
-        a = np.mean(d[i][own])
-        b = np.min(np.asarray([np.mean(d[i][m]) for o, m in enumerate(masks) if o != c]))
-        top = max(a, b)
-        scores[i] = 0.0 if top == 0.0 else (b - a) / top
-    return float(np.mean(scores))
+    f, inv, sizes = _silhouette_labels(features, assignments)
+    n, k = inv.size, sizes.size
+    members = [np.flatnonzero(inv == c) for c in range(k)]
+    a = np.zeros(n)
+    b = np.empty(n)
+    buf = np.empty((min(SILHOUETTE_BLOCK, n), n))
+    means = np.empty((buf.shape[0], k))
+    for lo in range(0, n, SILHOUETTE_BLOCK):
+        hi = min(lo + SILHOUETTE_BLOCK, n)
+        d = pairwise_distances(f, lo, hi, out=buf[: hi - lo])
+        own = inv[lo:hi]
+        block = means[: hi - lo]
+        for c, cols in enumerate(members):
+            # the gather must be C-ordered for each row mean to be a 1-D reduce
+            block[:, c] = np.ascontiguousarray(d[:, cols]).mean(axis=1)
+            local = np.flatnonzero(own == c)
+            if local.size and cols.size > 1:
+                # each row drops its own column from its cluster's distances
+                skip = np.searchsorted(cols, lo + local)
+                take = np.arange(cols.size - 1)
+                take = take[None, :] + (take[None, :] >= skip[:, None])
+                a[lo + local] = d[local[:, None], cols[take]].mean(axis=1)
+        block[np.arange(hi - lo), own] = np.inf
+        b[lo:hi] = block.min(axis=1)
+    return float(np.mean(_silhouette_values(a, b, sizes[inv] == 1)))
+
+
+def silhouette_gram(features, assignments) -> float:
+    """``silhouette`` from Gram-matrix distances, for ranking training epochs.
+
+    Distances come from sqrt(max(|x|^2 + |y|^2 - 2 x.y, 0)) in blocks of
+    SILHOUETTE_BLOCK rows, and per-cluster sums from one matmul per block
+    against the one-hot assignment matrix. It equals the exact score up to
+    round-off, which grows for nearly coincident points, so it serves model
+    selection and reports use ``silhouette``.
+    """
+    f, inv, sizes = _silhouette_labels(features, assignments)
+    n, k = inv.size, sizes.size
+    rows = np.arange(n)
+    onehot = np.zeros((n, k))
+    onehot[rows, inv] = 1.0
+    sq = np.einsum("ij,ij->i", f, f)
+    sums = np.empty((n, k))
+    for lo in range(0, n, SILHOUETTE_BLOCK):
+        hi = min(lo + SILHOUETTE_BLOCK, n)
+        d = f[lo:hi] @ f.T
+        d *= -2.0
+        d += sq[None, :]
+        d += sq[lo:hi, None]
+        np.maximum(d, 0.0, out=d)
+        np.sqrt(d, out=d)
+        d[rows[: hi - lo], rows[lo:hi]] = 0.0
+        np.matmul(d, onehot, out=sums[lo:hi])
+    a = sums[rows, inv] / np.maximum(sizes[inv] - 1, 1)
+    sums /= sizes[None, :]
+    sums[rows, inv] = np.inf
+    return float(np.mean(_silhouette_values(a, sums.min(axis=1), sizes[inv] == 1)))
 
 
 def _unit_rows(rows: np.ndarray, what: str) -> np.ndarray:

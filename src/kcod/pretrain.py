@@ -14,9 +14,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .contrast import contrastive_terms, stable_top_k
+from .contrast import masked_info_nce, stable_top_k, stable_top_k_mask
 from .data import Dataset
-from .encoder import AdamState, EncoderModel, accumulate_grads, adam_step, backward, forward_batch
+from .encoder import AdamState, EncoderModel, adam_step, backward, forward_batch
 from .errors import DataError, EmptyObjectiveError, ParameterError
 
 SAMPLES_PER_ANCHOR = 10
@@ -81,21 +81,28 @@ def refresh_queue(
     rng: np.random.Generator,
     by_class: dict[int, np.ndarray] | None = None,
 ) -> ContrastQueue:
-    """Enqueue 10 freshly encoded same-class training samples per batch element."""
+    """Enqueue 10 freshly encoded same-class training samples per batch element.
+
+    All picks come from one ``rng.integers`` call over a class-sorted pool;
+    it draws the same indices, and leaves the generator in the same state,
+    as one ``rng.choice(pool, 10)`` per batch element in turn.
+    """
     if by_class is None:
         by_class = class_index(train_labels)
-    picks: list[np.ndarray] = []
-    pick_labels: list[int] = []
-    for label in np.asarray(batch_labels).ravel():
+    labels = np.asarray(batch_labels, dtype=np.int64).ravel()
+    present, slot = np.unique(labels, return_inverse=True)
+    pools = []
+    for label in present:
         pool = by_class.get(int(label))
         if pool is None or pool.size == 0:
             raise DataError(f"no training example for class {int(label)}")
-        chosen = rng.choice(pool, size=SAMPLES_PER_ANCHOR, replace=True)
-        picks.append(chosen)
-        pick_labels.extend([int(label)] * SAMPLES_PER_ANCHOR)
-    idx = np.concatenate(picks)
+        pools.append(pool)
+    sizes = np.asarray([pool.size for pool in pools], dtype=np.int64)
+    starts = np.cumsum(sizes) - sizes
+    draws = rng.integers(0, np.repeat(sizes[slot], SAMPLES_PER_ANCHOR))
+    idx = np.concatenate(pools)[np.repeat(starts[slot], SAMPLES_PER_ANCHOR) + draws]
     out = forward_batch(model, train_features[idx])  # no mask, no gradient
-    queue.push(out.f, np.asarray(pick_labels, dtype=np.int64))
+    queue.push(out.f, np.repeat(labels, SAMPLES_PER_ANCHOR))
     return queue
 
 
@@ -128,35 +135,22 @@ def kcl_loss(
 
     summed over anchors. Anchors with no same-class entry are skipped; each
     per-positive denominator holds that positive plus every different-class
-    queue entry.
+    queue entry. Positives are picked by cosine, ties to the lower queue
+    index, as ``knn_same_class`` does for one anchor.
     """
     f = np.asarray(f, dtype=np.float64)
     labels = np.asarray(labels).ravel()
     if len(queue) == 0:
         raise EmptyObjectiveError("queue is empty")
-    total = 0.0
-    d_f = np.zeros_like(f)
-    contributed = False
-    for i in range(f.shape[0]):
-        pos_idx = knn_same_class(f[i], queue, int(labels[i]), config.k)
-        if pos_idx.size == 0:
-            continue
-        contributed = True
-        neg_idx = np.where(queue.labels != int(labels[i]))[0]
-        s_pos = queue.features[pos_idx] @ f[i]
-        s_neg = queue.features[neg_idx] @ f[i]
-        inv_p = 1.0 / pos_idx.size
-        w_neg = np.zeros(neg_idx.size)
-        for j in range(pos_idx.size):
-            loss_j, d_pos, d_neg = contrastive_terms(float(s_pos[j]), s_neg, config.tau)
-            total += inv_p * loss_j
-            d_f[i] += inv_p * d_pos * queue.features[pos_idx[j]]
-            w_neg += inv_p * d_neg
-        if neg_idx.size:
-            d_f[i] += w_neg @ queue.features[neg_idx]
-    if not contributed:
+    q = queue.features
+    sims = f @ q.T
+    cosine = sims / (np.linalg.norm(f, axis=1)[:, None] * np.linalg.norm(q, axis=1)[None, :])
+    same = labels[:, None] == queue.labels[None, :]
+    pos = stable_top_k_mask(cosine, same, config.k)
+    if not pos.any():
         raise EmptyObjectiveError("no anchor had a same-class queue entry")
-    return total, d_f
+    total, d_sims = masked_info_nce(sims, pos, ~same, config.tau, 1.0)
+    return total, d_sims @ q
 
 
 def ce_loss(logits: np.ndarray, label: int) -> tuple[float, np.ndarray]:

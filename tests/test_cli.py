@@ -1,5 +1,6 @@
 import csv
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -7,6 +8,7 @@ import sys
 import numpy as np
 import pytest
 
+from kcod import cli
 from kcod.cli import (
     K_KCL_GRID,
     K_NEG_GRID,
@@ -292,3 +294,66 @@ class TestConsoleScript:
         )
         assert result.returncode == 0, result.stderr
         assert (tmp_path / "g" / "ind.jsonl").exists()
+
+
+class TestSweepBlasThreads:
+    SWEEP = ["pipeline", "--seed", "1", "--sweep", "--epochs", "1", "--batch", "8",
+             "--k-neg", "8"] + MICRO + SMALL_NET
+
+    def run_sweep(self, out, **env_vars):
+        env = {k: v for k, v in os.environ.items() if k not in cli.BLAS_THREAD_VARIABLES}
+        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+        env["PYTHONPATH"] = os.pathsep.join([src] + [p for p in [env.get("PYTHONPATH")] if p])
+        env.update(env_vars)
+        result = subprocess.run(
+            [sys.executable, "-m", "kcod.cli", self.SWEEP[0], "--out", str(out)] + self.SWEEP[1:],
+            env=env,
+            capture_output=True,
+            text=True,
+        )
+        assert result.returncode == 0, result.stderr
+        files = {"sweep.csv": (out / "sweep.csv").read_bytes()}
+        for path in sorted(out.rglob("report.json")):
+            files[str(path.relative_to(out))] = path.read_bytes()
+        return files
+
+    def test_outputs_identical_across_thread_counts(self, tmp_path):
+        serial = self.run_sweep(tmp_path / "serial", KCOD_THREADS="1")
+        pooled = self.run_sweep(tmp_path / "pooled", KCOD_THREADS="2")
+        pinned = self.run_sweep(tmp_path / "pinned", KCOD_THREADS="2", OPENBLAS_NUM_THREADS="2")
+        assert len(serial) == 17  # sweep.csv, the base report and one per cell
+        assert pooled == serial
+        assert pinned == serial
+
+    def test_initializer_respects_user_thread_variables(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(cli, "_loaded_openblas", lambda: calls.append("maps") or ["blas.so"])
+        monkeypatch.setattr(cli.ctypes, "CDLL", lambda path: calls.append(path))
+        for name in cli.BLAS_THREAD_VARIABLES:
+            monkeypatch.delenv(name, raising=False)
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+        cli._single_blas_thread()
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS")
+        monkeypatch.setenv("OMP_NUM_THREADS", "3")
+        cli._single_blas_thread()
+        assert calls == []
+
+    def test_initializer_pins_each_openblas_to_one_thread(self, monkeypatch):
+        class FakeSetter:
+            def __init__(self):
+                self.threads = []
+
+            def __call__(self, n):
+                self.threads.append(n)
+
+        class FakeBlas:
+            def __init__(self):
+                self.openblas_set_num_threads = FakeSetter()
+
+        libs = {"a.so": FakeBlas(), "b.so": FakeBlas()}
+        for name in cli.BLAS_THREAD_VARIABLES:
+            monkeypatch.delenv(name, raising=False)
+        monkeypatch.setattr(cli, "_loaded_openblas", lambda: sorted(libs))
+        monkeypatch.setattr(cli.ctypes, "CDLL", lambda path: libs[path])
+        cli._single_blas_thread()
+        assert [lib.openblas_set_num_threads.threads for lib in libs.values()] == [[1], [1]]
