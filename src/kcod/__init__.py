@@ -10,21 +10,17 @@ judge the result. See README.md for the command-line interface.
 from .cluster import (
     CLUSTER_MODES,
     ClusterBatchState,
-    HardNegativeSet,
     KccConfig,
     KMeansResult,
     assign,
     assign_batch,
-    build_hard_negative_set,
     cluster_level_loss,
     cluster_train,
     entropy_regularizer,
     estimate_k,
-    filter_false_negatives,
     instance_level_loss,
     kcc_loss,
     kmeans,
-    knn_hard_negatives,
     survivor_count,
 )
 from .contrast import contrastive_terms, cosine_rows, cosine_rows_backward, stable_top_k
@@ -92,7 +88,6 @@ from .pretrain import (
     ce_loss,
     ce_loss_batch,
     kcl_loss,
-    knn_same_class,
     pretrain,
     refresh_queue,
 )

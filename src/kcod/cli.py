@@ -220,7 +220,13 @@ def _resolve_cluster_count(config: RunConfig, ood_path: str, model: EncoderModel
     if not config.estimate_c:
         return guess
     out = forward_batch(model, features)
-    return estimate_k(out.f, k_prime=2 * guess, seed=config.seed)
+    estimate = estimate_k(out.f, k_prime=2 * guess, seed=config.seed)
+    if estimate < 2:
+        raise DataError(
+            f"--estimate-c found {estimate} cluster(s) of at least N/{2 * guess} points; "
+            "clustering needs 2 or more, pass --c to set the count"
+        )
+    return estimate
 
 
 def cluster_stage(config: RunConfig, ood_path: str, checkpoint_path: str, out_dir: str) -> tuple[str, str]:

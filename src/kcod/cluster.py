@@ -17,13 +17,11 @@ import csv
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from .contrast import (
     cosine_rows,
     cosine_rows_backward,
     masked_info_nce,
-    stable_top_k,
     stable_top_k_mask,
 )
 from .data import Dataset
@@ -151,69 +149,15 @@ def instance_level_loss(state: ClusterBatchState, tau: float) -> tuple[float, np
     return loss, cosine_rows_backward(cache, d_sims)
 
 
-def filter_false_negatives(i: int, g_all: np.ndarray, threshold: float) -> np.ndarray:
-    """Views whose cluster-probability dot product with view i stays below threshold.
-
-    A high dot product means the two views are probably the same cluster, so
-    such views are dropped from i's negative pool rather than pushed away.
-    Returns ascending indices; i itself is never a candidate.
-    """
-    g_all = as_mat64(g_all)
-    sims = g_all @ g_all[int(i)]
-    keep = sims < threshold
-    keep[int(i)] = False
-    return np.where(keep)[0]
-
-
-def knn_hard_negatives(
-    anchor_f: np.ndarray, features: np.ndarray, candidates: np.ndarray, k_neg: int
-) -> np.ndarray:
-    """The k_neg candidates most cosine-similar to the anchor, ties by lower index."""
-    candidates = np.asarray(candidates, dtype=np.int64)
-    if candidates.size == 0:
-        return candidates
-    a = np.asarray(anchor_f, dtype=np.float64)
-    rows = as_mat64(features)[candidates]
-    sims = rows @ a / (np.linalg.norm(rows, axis=1) * np.linalg.norm(a))
-    return candidates[stable_top_k(sims, k_neg)]
-
-
-@dataclass
-class HardNegativeSet:
-    """Anchor's contrast set: selected hard negatives plus its augmented positive."""
-
-    anchor: int
-    positive: int
-    negatives: np.ndarray
-
-    def __post_init__(self):
-        self.negatives = np.asarray(self.negatives, dtype=np.int64)
-        if self.anchor in self.negatives or self.positive in self.negatives:
-            raise ParameterError("anchor and positive may not appear as negatives")
-
-    def members(self) -> np.ndarray:
-        return np.concatenate([[self.positive], self.negatives])
-
-
-def build_hard_negative_set(state: ClusterBatchState, i: int, config: KccConfig) -> HardNegativeSet:
-    """Threshold-filter the other views, then keep the k_neg nearest in f-space."""
-    j = state.partner(i)
-    candidates = filter_false_negatives(i, state.g_all(), config.threshold)
-    candidates = candidates[candidates != j]
-    selected = knn_hard_negatives(state.f_views[i], state.f_views, candidates, config.k_neg)
-    return HardNegativeSet(anchor=i, positive=j, negatives=selected)
-
-
 def kcc_loss(state: ClusterBatchState, config: KccConfig) -> tuple[float, np.ndarray]:
     """Instance contrast against the filtered-and-mined hard negative sets.
 
     Row i's candidates are the views whose probability dot product with it
     stays below the threshold, minus itself and its partner; the k_neg most
-    cosine-similar of them (ties to the lower index) are its negatives, as
-    ``build_hard_negative_set`` picks them for one anchor. Anchors whose
-    negative set comes out empty contribute 0. The negative selection acts
-    as a constant: gradients flow only through the cosine similarities that
-    remain in play, and only to the instance features.
+    cosine-similar of them (ties to the lower index) are its negatives.
+    Anchors whose negative set comes out empty contribute 0. The negative
+    selection acts as a constant: gradients flow only through the cosine
+    similarities that remain in play, and only to the instance features.
     """
     m = 2 * state.n
     sims, cache = cosine_rows(state.f_views)
@@ -411,11 +355,27 @@ def _seed_centroids(points: np.ndarray, k: int, rng: np.random.Generator) -> np.
     return centroids
 
 
+def _sq_distances(points_t: np.ndarray, centroids: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """(k, n) squared Euclidean distances from centroids to the columns of points_t.
+
+    The squared differences add up dimension by dimension in index order, the
+    summation of scipy's cdist "sqeuclidean", so the two agree exactly.
+    """
+    np.subtract(points_t[0], centroids[:, :1], out=out)
+    np.square(out, out=out)
+    for j in range(1, points_t.shape[0]):
+        np.subtract(points_t[j], centroids[:, j : j + 1], out=tmp)
+        np.square(tmp, out=tmp)
+        out += tmp
+    return out
+
+
 def kmeans(points, k: int, seed: int = 0, max_iter: int = 100, restarts: int = 8) -> KMeansResult:
     """Lloyd iterations from k-means++ starts; best inertia over restarts wins.
 
-    Empty clusters are re-seeded at the point currently farthest from its
-    centroid. Assignment ties go to the lowest cluster index. Deterministic
+    An empty cluster is re-seeded at the point farthest from its centroid
+    among the clusters that keep another member, so no cluster is ever left
+    empty. Assignment ties go to the lowest cluster index. Deterministic
     under seed.
     """
     pts = as_mat64(points)
@@ -426,6 +386,9 @@ def kmeans(points, k: int, seed: int = 0, max_iter: int = 100, restarts: int = 8
         raise ParameterError(f"k={k} exceeds {n} points")
     if restarts < 1 or max_iter < 1:
         raise ParameterError("restarts and max_iter must be >= 1")
+    pts_t = np.ascontiguousarray(pts.T)
+    d2 = np.empty((k, n))
+    tmp = np.empty((k, n))
     best: KMeansResult | None = None
     for child in np.random.SeedSequence(seed).spawn(restarts):
         rng = np.random.default_rng(child)
@@ -433,21 +396,25 @@ def kmeans(points, k: int, seed: int = 0, max_iter: int = 100, restarts: int = 8
         labels = None
         history: list[float] = []
         for _ in range(max_iter):
-            d2 = cdist(pts, centroids, "sqeuclidean")
-            new_labels = np.argmin(d2, axis=1)
-            row_cost = d2[np.arange(n), new_labels]
-            for c in range(k):
-                if not np.any(new_labels == c):
-                    far = int(np.argmax(row_cost))
-                    centroids[c] = pts[far]
-                    new_labels[far] = c
-                    row_cost[far] = 0.0
+            _sq_distances(pts_t, centroids, d2, tmp)
+            new_labels = np.argmin(d2, axis=0)
+            row_cost = d2.min(axis=0)
+            counts = np.bincount(new_labels, minlength=k)
+            for c in np.flatnonzero(counts == 0):
+                far = int(np.argmax(np.where(counts[new_labels] > 1, row_cost, -1.0)))
+                counts[new_labels[far]] -= 1
+                counts[c] = 1
+                centroids[c] = pts[far]
+                new_labels[far] = c
+                row_cost[far] = 0.0
             history.append(float(row_cost.sum()))
             if labels is not None and np.array_equal(new_labels, labels):
                 break
             labels = new_labels
             for c in range(k):
-                centroids[c] = pts[labels == c].mean(axis=0)
+                # a sum over rows in index order, then a divide: the arithmetic of .mean(axis=0)
+                np.add.reduce(pts.compress(labels == c, axis=0), axis=0, out=centroids[c])
+            centroids /= counts[:, None]
         result = KMeansResult(labels, centroids.copy(), history[-1], history)
         if best is None or result.inertia < best.inertia:
             best = result

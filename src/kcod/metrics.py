@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .errors import AlignmentError, MetricUndefinedError, ParameterError
 from .numerics import as_mat64
@@ -74,6 +73,64 @@ def contingency(pred: np.ndarray, truth: np.ndarray) -> tuple[np.ndarray, np.nda
     return w, pred_values, truth_values
 
 
+def _min_cost_assignment(cost: np.ndarray) -> np.ndarray:
+    """Column of each row in a minimum-cost assignment of a rows <= columns matrix.
+
+    Crouse's shortest augmenting path (IEEE TAES 2016) with the tie rules of
+    ``scipy.optimize.linear_sum_assignment``, so both give the same mapping:
+    each search scans the columns from the highest index down, a column it
+    settles is swapped out of the scan by the last one, and among columns of
+    equal reduced cost an unassigned one wins. Plain Python floats do the
+    same IEEE arithmetic in the same order, and beat numpy calls at the
+    sizes of a contingency table.
+    """
+    n_rows, n_cols = cost.shape
+    c = cost.tolist()
+    u = [0.0] * n_rows
+    v = [0.0] * n_cols
+    path = [-1] * n_cols
+    col4row = [-1] * n_rows
+    row4col = [-1] * n_cols
+    for cur in range(n_rows):
+        shortest = [math.inf] * n_cols
+        remaining = list(range(n_cols - 1, -1, -1))
+        rows_seen = []
+        cols_seen = []
+        min_val = 0.0
+        i = cur
+        while True:  # grow the shortest-path tree from row cur to a free column
+            rows_seen.append(i)
+            row, u_i = c[i], u[i]
+            index, lowest = -1, math.inf
+            for it, j in enumerate(remaining):
+                reduced = min_val + row[j] - u_i - v[j]
+                if reduced < shortest[j]:
+                    path[j] = i
+                    shortest[j] = reduced
+                if shortest[j] < lowest or (shortest[j] == lowest and row4col[j] < 0):
+                    index, lowest = it, shortest[j]
+            min_val = lowest
+            j = remaining[index]
+            cols_seen.append(j)
+            remaining[index] = remaining[-1]
+            remaining.pop()
+            if row4col[j] < 0:
+                break
+            i = row4col[j]
+        u[cur] += min_val
+        for r in rows_seen[1:]:
+            u[r] += min_val - shortest[col4row[r]]
+        for k in cols_seen:
+            v[k] -= min_val - shortest[k]
+        while True:  # augment along the path back from column j to row cur
+            i = path[j]
+            row4col[j] = i
+            col4row[i], j = j, col4row[i]
+            if i == cur:
+                break
+    return np.asarray(col4row, dtype=np.int64)
+
+
 def _optimal_assignment(w: np.ndarray) -> np.ndarray:
     """Maximum-weight one-to-one map on the zero-padded square of w.
 
@@ -81,12 +138,9 @@ def _optimal_assignment(w: np.ndarray) -> np.ndarray:
     the padded square; slots >= w.shape[1] are phantom classes.
     """
     side = max(w.shape)
-    padded = np.zeros((side, side), dtype=np.int64)
+    padded = np.zeros((side, side))
     padded[: w.shape[0], : w.shape[1]] = w
-    rows, cols = linear_sum_assignment(padded, maximize=True)
-    mapping = np.empty(side, dtype=np.int64)
-    mapping[rows] = cols
-    return mapping[: w.shape[0]]
+    return _min_cost_assignment(-padded)[: w.shape[0]]
 
 
 def clustering_accuracy(pred, truth) -> float:

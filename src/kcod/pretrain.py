@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .contrast import masked_info_nce, stable_top_k, stable_top_k_mask
+from .contrast import masked_info_nce, stable_top_k_mask
 from .data import Dataset
 from .encoder import AdamState, EncoderModel, adam_step, backward, forward_batch
 from .errors import DataError, EmptyObjectiveError, ParameterError
@@ -106,23 +106,6 @@ def refresh_queue(
     return queue
 
 
-def knn_same_class(anchor_f: np.ndarray, queue: ContrastQueue, anchor_label: int, k: int) -> np.ndarray:
-    """Queue indices of the k same-class entries most cosine-similar to the anchor.
-
-    Fewer than k same-class entries returns them all; none at all returns an
-    empty set, the skip-anchor signal.
-    """
-    if k < 1:
-        raise ParameterError(f"k must be >= 1, got {k}")
-    same = np.where(queue.labels == int(anchor_label))[0]
-    if same.size == 0:
-        return same
-    a = np.asarray(anchor_f, dtype=np.float64)
-    rows = queue.features[same]
-    sims = rows @ a / (np.linalg.norm(rows, axis=1) * np.linalg.norm(a))
-    return same[stable_top_k(sims, k)]
-
-
 def kcl_loss(
     f: np.ndarray, labels: np.ndarray, queue: ContrastQueue, config: KclConfig
 ) -> tuple[float, np.ndarray]:
@@ -136,7 +119,7 @@ def kcl_loss(
     summed over anchors. Anchors with no same-class entry are skipped; each
     per-positive denominator holds that positive plus every different-class
     queue entry. Positives are picked by cosine, ties to the lower queue
-    index, as ``knn_same_class`` does for one anchor.
+    index.
     """
     f = np.asarray(f, dtype=np.float64)
     labels = np.asarray(labels).ravel()

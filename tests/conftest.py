@@ -70,7 +70,8 @@ def random_cluster_state(seed: int, n=5, dim=6, c=3):
 
 def random_kcc_state(seed: int, config, n=5, dim=6, c=3):
     """Batch state whose hard-negative selection has margin-safe boundaries."""
-    from kcod.cluster import ClusterBatchState, filter_false_negatives
+    from kcod.cluster import ClusterBatchState
+    from oracles import filter_false_negatives
 
     for attempt in range(500):
         rng = np.random.default_rng(100_000 * seed + attempt)

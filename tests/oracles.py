@@ -2,18 +2,92 @@
 
 Each function here is the plain loop the package's batched code replaced,
 kept as the reference that the batched code is property-tested against.
-They reuse the package's per-anchor helpers (``contrastive_terms``,
-``knn_same_class``, ``build_hard_negative_set``), which follow the
-documented selection rules one anchor at a time.
+The per-anchor selection helpers (``knn_same_class``,
+``filter_false_negatives``, ``knn_hard_negatives``,
+``build_hard_negative_set``) follow the documented selection rules one
+anchor at a time; the loop losses build on them and on ``contrastive_terms``.
 """
+
+from dataclasses import dataclass
 
 import numpy as np
 
-from kcod.cluster import ClusterBatchState, KccConfig, build_hard_negative_set
-from kcod.contrast import contrastive_terms, cosine_rows, cosine_rows_backward
+from kcod.cluster import ClusterBatchState, KccConfig
+from kcod.contrast import contrastive_terms, cosine_rows, cosine_rows_backward, stable_top_k
 from kcod.encoder import EncoderModel, forward_batch
-from kcod.errors import DataError, EmptyObjectiveError
-from kcod.pretrain import SAMPLES_PER_ANCHOR, ContrastQueue, KclConfig, class_index, knn_same_class
+from kcod.errors import DataError, EmptyObjectiveError, ParameterError
+from kcod.numerics import as_mat64
+from kcod.pretrain import SAMPLES_PER_ANCHOR, ContrastQueue, KclConfig, class_index
+
+
+def knn_same_class(anchor_f: np.ndarray, queue: ContrastQueue, anchor_label: int, k: int) -> np.ndarray:
+    """Queue indices of the k same-class entries most cosine-similar to the anchor.
+
+    Fewer than k same-class entries returns them all; none at all returns an
+    empty set, the skip-anchor signal.
+    """
+    if k < 1:
+        raise ParameterError(f"k must be >= 1, got {k}")
+    same = np.where(queue.labels == int(anchor_label))[0]
+    if same.size == 0:
+        return same
+    a = np.asarray(anchor_f, dtype=np.float64)
+    rows = queue.features[same]
+    sims = rows @ a / (np.linalg.norm(rows, axis=1) * np.linalg.norm(a))
+    return same[stable_top_k(sims, k)]
+
+
+def filter_false_negatives(i: int, g_all: np.ndarray, threshold: float) -> np.ndarray:
+    """Views whose cluster-probability dot product with view i stays below threshold.
+
+    A high dot product means the two views are probably the same cluster, so
+    such views are dropped from i's negative pool rather than pushed away.
+    Returns ascending indices; i itself is never a candidate.
+    """
+    g_all = as_mat64(g_all)
+    sims = g_all @ g_all[int(i)]
+    keep = sims < threshold
+    keep[int(i)] = False
+    return np.where(keep)[0]
+
+
+def knn_hard_negatives(
+    anchor_f: np.ndarray, features: np.ndarray, candidates: np.ndarray, k_neg: int
+) -> np.ndarray:
+    """The k_neg candidates most cosine-similar to the anchor, ties by lower index."""
+    candidates = np.asarray(candidates, dtype=np.int64)
+    if candidates.size == 0:
+        return candidates
+    a = np.asarray(anchor_f, dtype=np.float64)
+    rows = as_mat64(features)[candidates]
+    sims = rows @ a / (np.linalg.norm(rows, axis=1) * np.linalg.norm(a))
+    return candidates[stable_top_k(sims, k_neg)]
+
+
+@dataclass
+class HardNegativeSet:
+    """Anchor's contrast set: selected hard negatives plus its augmented positive."""
+
+    anchor: int
+    positive: int
+    negatives: np.ndarray
+
+    def __post_init__(self):
+        self.negatives = np.asarray(self.negatives, dtype=np.int64)
+        if self.anchor in self.negatives or self.positive in self.negatives:
+            raise ParameterError("anchor and positive may not appear as negatives")
+
+    def members(self) -> np.ndarray:
+        return np.concatenate([[self.positive], self.negatives])
+
+
+def build_hard_negative_set(state: ClusterBatchState, i: int, config: KccConfig) -> HardNegativeSet:
+    """Threshold-filter the other views, then keep the k_neg nearest in f-space."""
+    j = state.partner(i)
+    candidates = filter_false_negatives(i, state.g_all(), config.threshold)
+    candidates = candidates[candidates != j]
+    selected = knn_hard_negatives(state.f_views[i], state.f_views, candidates, config.k_neg)
+    return HardNegativeSet(anchor=i, positive=j, negatives=selected)
 
 
 def kcl_loss_loop(f, labels, queue: ContrastQueue, config: KclConfig):

@@ -17,7 +17,7 @@ from kcod.cli import (
     main,
     sweep_cells,
 )
-from kcod.data import load_assignments, load_jsonl, save_assignments
+from kcod.data import Dataset, load_assignments, load_jsonl, save_assignments, save_jsonl
 from kcod.encoder import EncoderModel, load_checkpoint
 from kcod.errors import ParameterError
 
@@ -170,6 +170,27 @@ class TestCluster:
         assert manifest["estimated"] is True
         assert manifest["cluster_count"] == 2
 
+    def test_estimate_below_two_is_data_error(self, tmp_path, capsys):
+        # one tight blob plus four far outliers: over-clustering with K'=4
+        # leaves a single cluster of at least N/K' points
+        data, _ = self.setup_run(tmp_path)
+        pre(data, tmp_path / "p0", epochs="0")
+        rng = np.random.default_rng(0)
+        x = np.vstack([3.0 + rng.normal(scale=1e-3, size=(30, 5)), 40.0 * np.eye(5)[:4]])
+        ood = tmp_path / "blob.jsonl"
+        save_jsonl(
+            Dataset(ids=[f"b{i}" for i in range(34)], features=x,
+                    labels=np.zeros(34, dtype=np.int64), roles=["ood"] * 34),
+            str(ood),
+        )
+        capsys.readouterr()
+        code = main(
+            ["cluster", "--ood", str(ood), "--checkpoint", str(tmp_path / "p0" / "pretrain_checkpoint.json"),
+             "--out", str(tmp_path / "c"), "--epochs", "0", "--c", "2", "--estimate-c", "--seed", "0"]
+        )
+        assert code == 3
+        assert "--estimate-c found 1 cluster(s)" in capsys.readouterr().err
+
     def test_missing_manifest_needs_explicit_c(self, tmp_path, capsys):
         data, ckpt = self.setup_run(tmp_path)
         bare = tmp_path / "bare"
@@ -294,6 +315,44 @@ class TestConsoleScript:
         )
         assert result.returncode == 0, result.stderr
         assert (tmp_path / "g" / "ind.jsonl").exists()
+
+
+class TestNoScipyAtRunTime:
+    SCRIPT = """
+import json, sys
+from kcod.cli import main
+out, rest = sys.argv[1], json.loads(sys.argv[2])
+runs = [
+    ["pipeline", "--out", out + "/run", "--epochs", "1"] + rest,
+    ["evaluate", "--pred", out + "/run/cluster/assignments.jsonl",
+     "--truth", out + "/run/data/ood.jsonl", "--out", out + "/eval",
+     "--checkpoint", out + "/run/cluster/cluster_checkpoint.json"],
+    ["cluster", "--ood", out + "/run/data/ood.jsonl",
+     "--checkpoint", out + "/run/pretrain/pretrain_checkpoint.json",
+     "--out", out + "/est", "--estimate-c", "--epochs", "0", "--seed", "0"],
+]
+for argv in runs:
+    code = main(argv)
+    print("#", argv[0], code, "scipy" in sys.modules)
+"""
+
+    def test_commands_never_import_scipy(self, tmp_path):
+        env = dict(os.environ)
+        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+        env["PYTHONPATH"] = os.pathsep.join([src] + [p for p in [env.get("PYTHONPATH")] if p])
+        rest = ["--seed", "0", "--batch", "8", "--k-neg", "8"] + MICRO + SMALL_NET
+        result = subprocess.run(
+            [sys.executable, "-c", self.SCRIPT, str(tmp_path), json.dumps(rest)],
+            env=env,
+            capture_output=True,
+            text=True,
+        )
+        assert result.returncode == 0, result.stderr
+        assert [line for line in result.stdout.splitlines() if line.startswith("#")] == [
+            "# pipeline 0 False",
+            "# evaluate 0 False",
+            "# cluster 0 False",
+        ]
 
 
 class TestSweepBlasThreads:

@@ -3,24 +3,24 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import prob_rows, random_cluster_state, random_kcc_state, unit_rows
+from oracles import build_hard_negative_set, filter_false_negatives, knn_hard_negatives
 from kcod.cluster import (
     CLUSTER_MODES,
     ClusterBatchState,
     KccConfig,
     assign,
     assign_batch,
-    build_hard_negative_set,
     cluster_level_loss,
     cluster_train,
     entropy_regularizer,
     estimate_k,
-    filter_false_negatives,
     instance_level_loss,
     kcc_loss,
     kmeans,
-    knn_hard_negatives,
     survivor_count,
     write_cluster_log,
 )
@@ -369,6 +369,33 @@ class TestKMeans:
     def test_k_too_large(self):
         with pytest.raises(ParameterError):
             kmeans(np.ones((3, 2)), 4, seed=0)
+
+    def test_reseed_never_empties_a_checked_cluster(self):
+        # the farthest point from its centroid is a cluster's only member; taking
+        # it for a later empty cluster used to leave a NaN centroid and inertia
+        pts = np.array([[0.0], [1.0], [1.0], [1.0]])
+        result = kmeans(pts, 3, seed=0)
+        assert result.inertia == 0.0
+        assert sorted(np.bincount(result.assignments, minlength=3).tolist()) == [1, 1, 2]
+        assert sorted(result.centroids.ravel().tolist()) == [0.0, 1.0, 1.0]
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(2, 40),
+        st.integers(1, 3),
+        st.integers(1, 8),
+        st.integers(1, 3),
+        st.integers(0, 2**32 - 1),
+        st.integers(0, 2**16),
+    )
+    def test_tie_heavy_inputs_stay_finite(self, n, dim, k, levels, data_seed, seed):
+        pts = np.random.default_rng(data_seed).integers(0, levels, size=(n, dim)).astype(float)
+        k = min(k, n)
+        result = kmeans(pts, k, seed=seed, restarts=3)
+        assert np.isfinite(result.inertia)
+        assert np.all(np.isfinite(result.history))
+        assert np.all(np.isfinite(result.centroids))
+        assert np.bincount(result.assignments, minlength=k).min() >= 1
 
     def test_separated_blobs_recovered(self):
         ds = gen_blobs(4, 25, 5, center_scale=12.0, noise_sigma=1.0, seed=8)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import random_kcl_setup, unit_rows
+from oracles import knn_same_class
 from kcod.data import gen_blobs
 from kcod.encoder import EncoderModel, forward_batch
 from kcod.errors import DataError, EmptyObjectiveError, ParameterError
@@ -15,7 +16,6 @@ from kcod.pretrain import (
     ce_loss,
     ce_loss_batch,
     kcl_loss,
-    knn_same_class,
     pretrain,
     refresh_queue,
     write_pretrain_log,
