@@ -17,14 +17,15 @@ from kcod.cluster import (
     kcc_loss,
 )
 from kcod.contrast import contrastive_terms
-from kcod.numerics import finite_diff_grad_nd, l2_normalize, relative_error, softmax_rows
+from kcod.numerics import finite_diff_grad_nd, relative_error, softmax_rows
 from kcod.pretrain import ContrastQueue, KclConfig, ce_loss_batch, kcl_loss
 
 rng = np.random.default_rng(0)
 
 
 def unit(n, d):
-    return np.vstack([l2_normalize(rng.normal(size=d)) for _ in range(n)])
+    rows = rng.normal(size=(n, d))
+    return rows / np.linalg.norm(rows, axis=1, keepdims=True)
 
 
 print("== single positive vs a pool of negatives ==")

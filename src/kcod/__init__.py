@@ -12,7 +12,6 @@ from .cluster import (
     ClusterBatchState,
     KccConfig,
     KMeansResult,
-    assign,
     assign_batch,
     cluster_level_loss,
     cluster_train,
@@ -23,10 +22,9 @@ from .cluster import (
     kmeans,
     survivor_count,
 )
-from .contrast import contrastive_terms, cosine_rows, cosine_rows_backward, stable_top_k
+from .contrast import cosine_rows, cosine_rows_backward
 from .data import (
     Dataset,
-    LabeledSample,
     SplitSpec,
     gen_blobs,
     load_assignments,
@@ -37,15 +35,12 @@ from .data import (
 )
 from .encoder import (
     AdamState,
-    DropoutMask,
     EncoderModel,
     adam_step,
     backward,
-    forward,
     forward_batch,
     load_checkpoint,
     save_checkpoint,
-    two_views,
     two_views_batch,
 )
 from .errors import (
@@ -74,18 +69,14 @@ from .metrics import (
     silhouette,
 )
 from .numerics import (
-    cosine_sim,
     finite_diff_grad,
     finite_diff_grad_nd,
-    l2_normalize,
     relative_error,
-    softmax,
     softmax_rows,
 )
 from .pretrain import (
     ContrastQueue,
     KclConfig,
-    ce_loss,
     ce_loss_batch,
     kcl_loss,
     pretrain,

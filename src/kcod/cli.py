@@ -99,15 +99,23 @@ class RunConfig:
             raise ParameterError("dropout must be in (0,1); the augmented views need it")
         if self.c is not None and self.c < 2:
             raise ParameterError("--c must be >= 2")
-        KclConfig(k=self.k_kcl, tau=self.tau)
-        KccConfig(
+        self.kcl()
+        self.kcc()
+        return self
+
+    def kcl(self) -> KclConfig:
+        """The pre-training loss settings."""
+        return KclConfig(k=self.k_kcl, tau=self.tau)
+
+    def kcc(self) -> KccConfig:
+        """The clustering loss settings."""
+        return KccConfig(
             threshold=self.threshold,
             k_neg=self.k_neg,
             tau=self.tau,
             tau_clu=self.tau_clu,
             reg_weight=self.reg_weight,
         )
-        return self
 
 
 def _write_json(doc: dict, path: str) -> None:
@@ -174,13 +182,12 @@ def pretrain_stage(config: RunConfig, ind_path: str, out_dir: str) -> str:
         dropout_rate=config.dropout,
         seed=config.seed,
     )
-    kcl = KclConfig(k=config.k_kcl, tau=config.tau)
     model, log = pretrain(
         model,
         ind,
         epochs=config.pretrain_epochs,
         batch_size=config.batch,
-        config=kcl,
+        config=config.kcl(),
         seed=config.seed,
         learning_rate=config.lr_pretrain,
     )
@@ -238,19 +245,12 @@ def cluster_stage(config: RunConfig, ood_path: str, checkpoint_path: str, out_di
     base = load_checkpoint(checkpoint_path)
     cluster_count = _resolve_cluster_count(config, ood_path, base, ood.features)
     model = base.with_cluster_count(cluster_count, config.seed)
-    kcc = KccConfig(
-        threshold=config.threshold,
-        k_neg=config.k_neg,
-        tau=config.tau,
-        tau_clu=config.tau_clu,
-        reg_weight=config.reg_weight,
-    )
     best, log = cluster_train(
         model,
         ood,
         epochs=config.cluster_epochs,
         batch_size=config.batch,
-        config=kcc,
+        config=config.kcc(),
         seed=config.seed,
         mode=config.mode,
         learning_rate=config.lr_cluster,

@@ -29,10 +29,8 @@ from .encoder import (
     AdamState,
     BatchForward,
     EncoderModel,
-    accumulate_grads,
     adam_step,
     backward,
-    forward,
     forward_batch,
     two_views_batch,
 )
@@ -195,13 +193,8 @@ class ClusterEpoch:
     sc: float  # NaN when the epoch's assignment collapsed to one cluster
 
 
-def assign(model: EncoderModel, x: np.ndarray) -> int:
-    """Cluster id by argmax over cluster probabilities; ties to the lowest id."""
-    _, _, g, _ = forward(model, x)
-    return int(np.argmax(g))
-
-
 def assign_batch(model: EncoderModel, x: np.ndarray) -> np.ndarray:
+    """Cluster ids by argmax over cluster probabilities; ties to the lowest id."""
     out = forward_batch(model, as_mat64(x))
     return np.argmax(out.g, axis=1).astype(np.int64)
 
@@ -263,41 +256,21 @@ def cluster_train(
             if batch.size < 2:
                 continue  # a stray single sample cannot form a contrast pair
             view_seed = int(rng.integers(0, 2**63 - 1))
-            out_a, out_b = two_views_batch(model, x[batch], view_seed)
-            state = ClusterBatchState(
-                f_views=np.vstack([out_a.f, out_b.f]), g_a=out_a.g, g_b=out_b.g
-            )
-            nb = state.n
-            d_f = np.zeros_like(state.f_views)
-            d_g_a = np.zeros_like(state.g_a)
-            d_g_b = np.zeros_like(state.g_b)
+            views = two_views_batch(model, x[batch], view_seed)
+            nb = batch.size
+            state = ClusterBatchState(f_views=views.f, g_a=views.g[:nb], g_b=views.g[nb:])
+            d_f = d_g = None
             clu_val = ins_val = reg_val = 0.0
             if use_cluster_route:
-                clu_val, dga, dgb = cluster_level_loss(state, config.tau_clu)
-                d_g_a += dga
-                d_g_b += dgb
-                reg_val, d_g_stack = entropy_regularizer(state.g_all())
-                d_g_a += config.reg_weight * d_g_stack[:nb]
-                d_g_b += config.reg_weight * d_g_stack[nb:]
+                clu_val, d_g_a, d_g_b = cluster_level_loss(state, config.tau_clu)
+                reg_val, d_reg = entropy_regularizer(views.g)
+                d_g = np.vstack([d_g_a, d_g_b]) + config.reg_weight * d_reg
             if use_instance_route:
                 if mode == "kcod":
-                    ins_val, d_fv = kcc_loss(state, config)
+                    ins_val, d_f = kcc_loss(state, config)
                 else:
-                    ins_val, d_fv = instance_level_loss(state, config.tau)
-                d_f += d_fv
-            grads = backward(
-                model,
-                out_a,
-                d_f=d_f[:nb] if use_instance_route else None,
-                d_g=d_g_a if use_cluster_route else None,
-            )
-            grads_b = backward(
-                model,
-                out_b,
-                d_f=d_f[nb:] if use_instance_route else None,
-                d_g=d_g_b if use_cluster_route else None,
-            )
-            accumulate_grads(grads, grads_b)
+                    ins_val, d_f = instance_level_loss(state, config.tau)
+            grads = backward(model, views, d_f=d_f, d_g=d_g)
             adam_step(adam, model, grads)
             sums += (clu_val, ins_val, reg_val)
             batches += 1

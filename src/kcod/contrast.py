@@ -81,20 +81,12 @@ def cosine_rows_backward(cache: CosineCache, d_sims: np.ndarray) -> np.ndarray:
     return (d_unit - radial * cache.unit) / cache.norms
 
 
-def stable_top_k(scores: np.ndarray, k: int) -> np.ndarray:
-    """Indices of the k largest scores, ties broken by lower index."""
-    if k <= 0 or scores.size == 0:
-        return np.zeros(0, dtype=np.int64)
-    order = np.argsort(-scores, kind="stable")
-    return order[: min(k, scores.size)]
-
-
 def stable_top_k_mask(scores: np.ndarray, candidates: np.ndarray, k: int) -> np.ndarray:
     """Per row, the k candidates with the largest scores, ties to the lower index.
 
     ``candidates`` is a boolean matrix of the same shape as ``scores``; a row
-    with at most k candidates keeps them all. The row-by-row equivalent is
-    ``stable_top_k`` over that row's candidate scores.
+    with at most k candidates keeps them all. Row by row, this is the first k
+    of a stable descending argsort of that row's candidate scores.
     """
     if k < 1:
         return np.zeros_like(candidates)

@@ -23,14 +23,6 @@ ROLE_OOD = "ood"
 
 
 @dataclass
-class LabeledSample:
-    id: str
-    features: np.ndarray
-    label: int
-    role: str
-
-
-@dataclass
 class Dataset:
     ids: list[str]
     features: np.ndarray  # (N, dim)
@@ -43,13 +35,6 @@ class Dataset:
     @property
     def dim(self) -> int:
         return int(self.features.shape[1]) if self.features.ndim == 2 else 0
-
-    def sample(self, i: int) -> LabeledSample:
-        return LabeledSample(self.ids[i], self.features[i], int(self.labels[i]), self.roles[i])
-
-    def samples(self):
-        for i in range(len(self)):
-            yield self.sample(i)
 
     def class_labels(self) -> np.ndarray:
         return np.unique(self.labels)
@@ -139,10 +124,12 @@ def _format_features(values: np.ndarray) -> str:
 
 def save_jsonl(dataset: Dataset, path: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        for s in dataset.samples():
+        for sample_id, label, role, features in zip(
+            dataset.ids, dataset.labels, dataset.roles, dataset.features
+        ):
             fh.write(
                 '{"id": %s, "label": %d, "role": "%s", "features": %s}\n'
-                % (json.dumps(s.id), s.label, s.role, _format_features(s.features))
+                % (json.dumps(sample_id), label, role, _format_features(features))
             )
 
 

@@ -18,29 +18,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DivergenceError, ParameterError, StaleCacheError
+from .errors import DataError, DivergenceError, ParameterError, StaleCacheError
 from .numerics import softmax_rows
 
 PARAM_NAMES = ("w1", "b1", "w2", "b2", "w3", "b3", "w4", "b4", "w5", "b5")
 
 _F_NORM_FLOOR = 1e-12
-
-
-@dataclass
-class DropoutMask:
-    """Bernoulli keep bits for the hidden layer, reproducible from a seed."""
-
-    seed: int
-    rate: float
-    keep: np.ndarray
-
-    @classmethod
-    def draw(cls, seed: int, dim: int, rate: float) -> "DropoutMask":
-        if not 0.0 <= rate < 1.0:
-            raise ParameterError(f"dropout rate must be in [0, 1), got {rate}")
-        rng = np.random.default_rng(seed)
-        keep = rng.random(dim) >= rate
-        return cls(seed=seed, rate=rate, keep=keep)
 
 
 @dataclass
@@ -167,38 +150,19 @@ def forward_batch(model: EncoderModel, x: np.ndarray, keep: np.ndarray | None = 
     return BatchForward(z=z, f=f, g=g, logits_ind=logits_ind, cache=cache, version=model.version)
 
 
-def forward(
-    model: EncoderModel, x: np.ndarray, mask: DropoutMask | None = None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Single-sample forward pass: (z, f, g, logits_ind)."""
-    keep = None
-    if mask is not None:
-        if mask.keep.shape != (model.hidden_dim,):
-            raise ParameterError(f"mask dim {mask.keep.shape} does not match hidden {model.hidden_dim}")
-        keep = mask.keep[None, :]
-    out = forward_batch(model, np.asarray(x, dtype=np.float64)[None, :], keep)
-    return out.z[0], out.f[0], out.g[0], out.logits_ind[0]
+def two_views_batch(model: EncoderModel, x: np.ndarray, seed: int) -> BatchForward:
+    """Both dropout views of a batch in one forward pass of 2N rows.
 
-
-def two_views(model: EncoderModel, x: np.ndarray, seed: int):
-    """Two dropout-augmented forward passes of the same sample."""
+    Rows i and i + N are the two views of sample i. The (2N, hidden) keep
+    mask holds the same bits as two sequential (N, hidden) draws from
+    ``default_rng(seed)``.
+    """
     if model.dropout_rate <= 0.0:
-        raise ParameterError("two_views requires dropout_rate > 0; views would collapse")
-    seeds = np.random.default_rng(seed).integers(0, 2**63 - 1, size=2)
-    mask_a = DropoutMask.draw(int(seeds[0]), model.hidden_dim, model.dropout_rate)
-    mask_b = DropoutMask.draw(int(seeds[1]), model.hidden_dim, model.dropout_rate)
-    return forward(model, x, mask_a), forward(model, x, mask_b)
-
-
-def two_views_batch(model: EncoderModel, x: np.ndarray, seed: int) -> tuple[BatchForward, BatchForward]:
-    """Batched augmented pair: two forward passes under independent dropout masks."""
-    if model.dropout_rate <= 0.0:
-        raise ParameterError("two_views requires dropout_rate > 0; views would collapse")
+        raise ParameterError("two_views_batch requires dropout_rate > 0; views would collapse")
     x = np.asarray(x, dtype=np.float64)
     rng = np.random.default_rng(seed)
-    keep_a = rng.random((x.shape[0], model.hidden_dim)) >= model.dropout_rate
-    keep_b = rng.random((x.shape[0], model.hidden_dim)) >= model.dropout_rate
-    return forward_batch(model, x, keep_a), forward_batch(model, x, keep_b)
+    keep = rng.random((2 * x.shape[0], model.hidden_dim)) >= model.dropout_rate
+    return forward_batch(model, np.vstack([x, x]), keep)
 
 
 def backward(
@@ -264,15 +228,6 @@ def backward(
     return grads
 
 
-def accumulate_grads(total: dict[str, np.ndarray], part: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
-    for k, v in part.items():
-        if k in total:
-            total[k] = total[k] + v
-        else:
-            total[k] = v.copy()
-    return total
-
-
 @dataclass
 class AdamState:
     learning_rate: float = 1e-3
@@ -329,9 +284,54 @@ def save_checkpoint(model: EncoderModel, path: str) -> None:
         fh.write("\n")
 
 
+# Integer checkpoint fields and the least value each may take.
+_CHECKPOINT_INTS = {
+    "input_dim": 1,
+    "hidden_dim": 1,
+    "feature_dim": 1,
+    "instance_dim": 1,
+    "cluster_count": 1,
+    "ind_class_count": 1,
+    "seed": 0,
+    "step": 0,
+}
+
+
+def _checkpoint_weight(path: str, weights: dict, name: str, size: int) -> np.ndarray:
+    try:
+        flat = np.asarray(weights[name], dtype=np.float64)
+    except KeyError:
+        raise DataError(f"checkpoint {path} has no weight {name!r}") from None
+    except (TypeError, ValueError):
+        raise DataError(f"checkpoint {path}: weight {name!r} is not a list of numbers") from None
+    if flat.ndim != 1 or flat.size != size:
+        raise DataError(f"checkpoint {path}: weight {name!r} has {flat.size} values, expected {size}")
+    if not np.all(np.isfinite(flat)):
+        raise DataError(f"checkpoint {path}: weight {name!r} holds non-finite values")
+    return flat
+
+
 def load_checkpoint(path: str) -> EncoderModel:
+    """Model from a ``save_checkpoint`` file; a malformed file raises DataError."""
     with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+        try:
+            doc = json.load(fh)
+        except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
+            raise DataError(f"checkpoint {path} is not valid JSON: {exc}") from None
+    if not isinstance(doc, dict):
+        raise DataError(f"checkpoint {path} is not a JSON object")
+    missing = {*_CHECKPOINT_INTS, "dropout_rate", "weights"} - doc.keys()
+    if missing:
+        raise DataError(f"checkpoint {path} lacks {sorted(missing)}")
+    for key, least in _CHECKPOINT_INTS.items():
+        value = doc[key]
+        if isinstance(value, bool) or not isinstance(value, int) or value < least:
+            raise DataError(f"checkpoint {path}: {key} must be an integer >= {least}, got {value!r}")
+    rate = doc["dropout_rate"]
+    if isinstance(rate, bool) or not isinstance(rate, (int, float)) or not 0.0 <= rate < 1.0:
+        raise DataError(f"checkpoint {path}: dropout_rate must be in [0, 1), got {rate!r}")
+    if not isinstance(doc["weights"], dict):
+        raise DataError(f"checkpoint {path}: weights must be an object")
     model = EncoderModel.init(
         input_dim=doc["input_dim"],
         cluster_count=doc["cluster_count"],
@@ -339,13 +339,12 @@ def load_checkpoint(path: str) -> EncoderModel:
         hidden_dim=doc["hidden_dim"],
         feature_dim=doc["feature_dim"],
         instance_dim=doc["instance_dim"],
-        dropout_rate=doc["dropout_rate"],
+        dropout_rate=rate,
         seed=doc["seed"],
     )
     for name in PARAM_NAMES:
-        flat = np.asarray(doc["weights"][name], dtype=np.float64)
-        if flat.size != model.params[name].size:
-            raise ParameterError(f"checkpoint weight {name!r} has wrong size")
-        model.params[name] = flat.reshape(model.params[name].shape)
+        init = model.params[name]
+        flat = _checkpoint_weight(path, doc["weights"], name, init.size)
+        model.params[name] = flat.reshape(init.shape)
     model.step = doc["step"]
     return model

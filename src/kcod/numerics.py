@@ -11,14 +11,12 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DegenerateInputError, OracleError, ParameterError
+from .errors import OracleError, ParameterError
 
 # Carriers for 1-D / 2-D float64 arrays; invariants are enforced by the
 # as_* constructors below.
 Vec64 = np.ndarray
 Mat64 = np.ndarray
-
-_NORM_FLOOR = 1e-300
 
 
 def as_vec64(values) -> Vec64:
@@ -47,40 +45,6 @@ def as_mat64(values, rows: int | None = None, cols: int | None = None) -> Mat64:
     if not np.all(np.isfinite(m)):
         raise ParameterError("matrix contains non-finite entries")
     return m
-
-
-def l2_normalize(v: Vec64) -> Vec64:
-    """Scale a vector to unit norm; rejects (near-)zero vectors."""
-    v = as_vec64(v)
-    n = float(np.linalg.norm(v))
-    if n < _NORM_FLOOR:
-        raise DegenerateInputError("cannot normalize a zero-norm vector")
-    return v / n
-
-
-def cosine_sim(a: Vec64, b: Vec64) -> float:
-    """Cosine similarity a.b / (|a||b|), in [-1, 1]."""
-    a = as_vec64(a)
-    b = as_vec64(b)
-    if a.shape != b.shape:
-        raise ParameterError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    na = float(np.linalg.norm(a))
-    nb = float(np.linalg.norm(b))
-    if na < _NORM_FLOOR or nb < _NORM_FLOOR:
-        raise DegenerateInputError("cosine similarity of a zero-norm vector")
-    s = float(np.dot(a, b) / (na * nb))
-    # clamp rounding spill outside [-1, 1]
-    return min(1.0, max(-1.0, s))
-
-
-def softmax(logits: Vec64, temperature: float = 1.0) -> Vec64:
-    """Temperature softmax with max-subtraction for stability."""
-    if temperature <= 0:
-        raise ParameterError(f"temperature must be positive, got {temperature}")
-    z = as_vec64(logits) / temperature
-    z = z - np.max(z)
-    e = np.exp(z)
-    return e / np.sum(e)
 
 
 def softmax_rows(logits: Mat64, temperature: float = 1.0) -> Mat64:

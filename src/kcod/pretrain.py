@@ -136,20 +136,6 @@ def kcl_loss(
     return total, d_sims @ q
 
 
-def ce_loss(logits: np.ndarray, label: int) -> tuple[float, np.ndarray]:
-    """Softmax cross-entropy for one sample; gradient is softmax - one_hot."""
-    logits = np.asarray(logits, dtype=np.float64).ravel()
-    if not 0 <= int(label) < logits.size:
-        raise ParameterError(f"label {label} out of range for {logits.size} classes")
-    z = logits - np.max(logits)
-    e = np.exp(z)
-    p = e / e.sum()
-    loss = float(np.log(e.sum()) - z[int(label)])
-    grad = p.copy()
-    grad[int(label)] -= 1.0
-    return loss, grad
-
-
 def ce_loss_batch(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
     """Summed cross-entropy over a batch, with per-row gradients."""
     logits = np.asarray(logits, dtype=np.float64)

@@ -5,7 +5,8 @@ kept as the reference that the batched code is property-tested against.
 The per-anchor selection helpers (``knn_same_class``,
 ``filter_false_negatives``, ``knn_hard_negatives``,
 ``build_hard_negative_set``) follow the documented selection rules one
-anchor at a time; the loop losses build on them and on ``contrastive_terms``.
+anchor at a time, ranking with ``stable_top_k``; the loop losses build on
+them and on ``contrastive_terms``.
 """
 
 from dataclasses import dataclass
@@ -13,11 +14,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from kcod.cluster import ClusterBatchState, KccConfig
-from kcod.contrast import contrastive_terms, cosine_rows, cosine_rows_backward, stable_top_k
+from kcod.contrast import contrastive_terms, cosine_rows, cosine_rows_backward
 from kcod.encoder import EncoderModel, forward_batch
 from kcod.errors import DataError, EmptyObjectiveError, ParameterError
 from kcod.numerics import as_mat64
 from kcod.pretrain import SAMPLES_PER_ANCHOR, ContrastQueue, KclConfig, class_index
+
+
+def stable_top_k(scores: np.ndarray, k: int) -> np.ndarray:
+    """Indices of the k largest scores, ties broken by lower index."""
+    if k <= 0 or scores.size == 0:
+        return np.zeros(0, dtype=np.int64)
+    order = np.argsort(-scores, kind="stable")
+    return order[: min(k, scores.size)]
 
 
 def knn_same_class(anchor_f: np.ndarray, queue: ContrastQueue, anchor_label: int, k: int) -> np.ndarray:

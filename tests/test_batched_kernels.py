@@ -19,13 +19,13 @@ from oracles import (
     pair_contrast_loop,
     refresh_queue_loop,
     silhouette_loop,
+    stable_top_k,
 )
 from kcod.cluster import ClusterBatchState, KccConfig, _pair_contrast, cluster_train, kcc_loss
 from kcod.contrast import (
     contrastive_terms,
     cosine_rows,
     masked_info_nce,
-    stable_top_k,
     stable_top_k_mask,
 )
 from kcod.data import gen_blobs

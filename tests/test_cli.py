@@ -18,7 +18,7 @@ from kcod.cli import (
     sweep_cells,
 )
 from kcod.data import Dataset, load_assignments, load_jsonl, save_assignments, save_jsonl
-from kcod.encoder import EncoderModel, load_checkpoint
+from kcod.encoder import EncoderModel, load_checkpoint, save_checkpoint
 from kcod.errors import ParameterError
 
 MICRO = [
@@ -247,6 +247,51 @@ class TestEvaluate:
         assert ood.ids[-1] in capsys.readouterr().err
 
 
+class TestBadCheckpoint:
+    """A malformed checkpoint is a data error (exit 3), never a traceback."""
+
+    @staticmethod
+    def drop_weights(doc):
+        del doc["weights"]
+
+    @staticmethod
+    def nan_weight(doc):
+        doc["weights"]["w3"][0] = float("nan")
+
+    @staticmethod
+    def short_weights(doc):
+        doc["weights"]["w1"] = doc["weights"]["w1"][:-1]
+
+    @staticmethod
+    def zero_hidden(doc):
+        doc["hidden_dim"] = 0
+
+    @pytest.mark.parametrize(
+        "tamper", ["not_json", "drop_weights", "nan_weight", "short_weights", "zero_hidden"]
+    )
+    def test_evaluate_exits_with_data_error(self, tmp_path, capsys, tamper):
+        gen(tmp_path / "d")
+        ood = load_jsonl(str(tmp_path / "d" / "ood.jsonl"))
+        pred_path = str(tmp_path / "pred.jsonl")
+        save_assignments(ood.ids, np.arange(len(ood)) % 2, pred_path)
+        ckpt = tmp_path / "model.json"
+        if tamper == "not_json":
+            ckpt.write_text("{not json\n")
+        else:
+            model = EncoderModel.init(input_dim=ood.dim, cluster_count=2, ind_class_count=2, seed=0)
+            save_checkpoint(model, str(ckpt))
+            doc = json.loads(ckpt.read_text())
+            getattr(self, tamper)(doc)
+            ckpt.write_text(json.dumps(doc))
+        code = main(
+            ["evaluate", "--pred", pred_path, "--truth", str(tmp_path / "d" / "ood.jsonl"),
+             "--out", str(tmp_path / "eval"), "--checkpoint", str(ckpt)]
+        )
+        assert code == 3
+        assert "checkpoint" in capsys.readouterr().err
+        assert not (tmp_path / "eval" / "report.json").exists()
+
+
 class TestPipelineAndSweep:
     PIPE = [
         "--epochs", "4", "--batch", "8", "--k-neg", "8",
@@ -355,22 +400,43 @@ for argv in runs:
         ]
 
 
+def run_cli_subprocess(argv, **env_vars):
+    """Run ``python -m kcod.cli`` with no inherited BLAS thread variable, plus env_vars."""
+    env = {k: v for k, v in os.environ.items() if k not in cli.BLAS_THREAD_VARIABLES}
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env["PYTHONPATH"] = os.pathsep.join([src] + [p for p in [env.get("PYTHONPATH")] if p])
+    env.update(env_vars)
+    result = subprocess.run(
+        [sys.executable, "-m", "kcod.cli"] + argv, env=env, capture_output=True, text=True
+    )
+    assert result.returncode == 0, result.stderr
+
+
+def tree_bytes(root):
+    return {str(p.relative_to(root)): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+class TestPipelineBlasThreads:
+    def test_every_output_identical_across_thread_counts(self, tmp_path):
+        # default data sizes, so the BLAS calls are large enough to be threaded
+        runs = {}
+        for threads in ("1", "2"):
+            out = tmp_path / f"blas{threads}"
+            run_cli_subprocess(
+                ["pipeline", "--out", str(out), "--seed", "0", "--epochs", "2"],
+                OPENBLAS_NUM_THREADS=threads,
+            )
+            runs[threads] = tree_bytes(out)
+        assert len(runs["1"]) == 13
+        assert runs["2"] == runs["1"]
+
+
 class TestSweepBlasThreads:
     SWEEP = ["pipeline", "--seed", "1", "--sweep", "--epochs", "1", "--batch", "8",
              "--k-neg", "8"] + MICRO + SMALL_NET
 
     def run_sweep(self, out, **env_vars):
-        env = {k: v for k, v in os.environ.items() if k not in cli.BLAS_THREAD_VARIABLES}
-        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
-        env["PYTHONPATH"] = os.pathsep.join([src] + [p for p in [env.get("PYTHONPATH")] if p])
-        env.update(env_vars)
-        result = subprocess.run(
-            [sys.executable, "-m", "kcod.cli", self.SWEEP[0], "--out", str(out)] + self.SWEEP[1:],
-            env=env,
-            capture_output=True,
-            text=True,
-        )
-        assert result.returncode == 0, result.stderr
+        run_cli_subprocess([self.SWEEP[0], "--out", str(out)] + self.SWEEP[1:], **env_vars)
         files = {"sweep.csv": (out / "sweep.csv").read_bytes()}
         for path in sorted(out.rglob("report.json")):
             files[str(path.relative_to(out))] = path.read_bytes()

@@ -12,7 +12,6 @@ from kcod.cluster import (
     CLUSTER_MODES,
     ClusterBatchState,
     KccConfig,
-    assign,
     assign_batch,
     cluster_level_loss,
     cluster_train,
@@ -313,14 +312,15 @@ class TestAssign:
         batch = assign_batch(model, x)
         assert batch.tolist() == np.argmax(out.g, axis=1).tolist()
         for i in range(6):
-            assert assign(model, x[i]) == batch[i]
+            assert assign_batch(model, x[i : i + 1]).tolist() == [batch[i]]
 
     def test_deterministic_and_in_range(self):
         model = self.make_model()
-        x = np.random.default_rng(4).normal(size=5)
-        first = assign(model, x)
-        assert assign(model, x) == first
-        assert 0 <= first < model.cluster_count
+        x = np.random.default_rng(4).normal(size=(1, 5))
+        first = assign_batch(model, x)
+        assert first.dtype == np.int64 and first.shape == (1,)
+        assert np.array_equal(assign_batch(model, x), first)
+        assert 0 <= first[0] < model.cluster_count
 
 
 class TestKMeans:
@@ -461,6 +461,32 @@ class TestClusterTrain:
         for k in t1.params:
             assert np.array_equal(t1.params[k], t2.params[k])
         assert [r.sc for r in log1] == [r.sc for r in log2]
+
+    @pytest.mark.parametrize("mode", CLUSTER_MODES)
+    def test_one_forward_and_one_backward_per_batch(self, mode, monkeypatch):
+        # 36 samples in batches of 7: five batches and one stray sample, skipped
+        import kcod.cluster
+        import kcod.encoder
+
+        forward_rows, backward_rows = [], []
+        real_forward, real_backward = kcod.encoder.forward_batch, kcod.encoder.backward
+
+        def spy_forward(model, x, keep=None):
+            forward_rows.append(len(x))
+            return real_forward(model, x, keep)
+
+        def spy_backward(model, out, **grads):
+            backward_rows.append(len(out.f))
+            return real_backward(model, out, **grads)
+
+        monkeypatch.setattr(kcod.encoder, "forward_batch", spy_forward)
+        monkeypatch.setattr(kcod.cluster, "forward_batch", spy_forward)
+        monkeypatch.setattr(kcod.cluster, "backward", spy_backward)
+        model, ds = self.blob_setup(seed=6)
+        cluster_train(model, ds, epochs=2, batch_size=7, config=KccConfig(k_neg=8), seed=2, mode=mode)
+        # per epoch: one 2N-row pass per batch, then one pass over all 36 for selection
+        assert forward_rows == ([14] * 5 + [36]) * 2
+        assert backward_rows == [14] * 10
 
     def test_mode_validated(self):
         model, ds = self.blob_setup()

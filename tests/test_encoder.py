@@ -5,19 +5,15 @@ import pytest
 
 from kcod.encoder import (
     AdamState,
-    DropoutMask,
     EncoderModel,
-    accumulate_grads,
     adam_step,
     backward,
-    forward,
     forward_batch,
     load_checkpoint,
     save_checkpoint,
-    two_views,
     two_views_batch,
 )
-from kcod.errors import DivergenceError, ParameterError, StaleCacheError
+from kcod.errors import DataError, DivergenceError, ParameterError, StaleCacheError
 from kcod.numerics import finite_diff_grad_nd, relative_error
 
 
@@ -59,14 +55,16 @@ class TestInitAndInvariants:
         assert np.array_equal(a.logits_ind, b.logits_ind)
 
     def test_single_sample_matches_batch(self):
+        # a 1-D input is one row: the same bits as the explicit (1, dim) batch
         model = small_model()
         x = np.random.default_rng(3).normal(size=5)
-        z, f, g, logits = forward(model, x)
+        one = forward_batch(model, x)
         out = forward_batch(model, x[None, :])
-        assert np.array_equal(z, out.z[0])
-        assert np.array_equal(f, out.f[0])
-        assert np.array_equal(g, out.g[0])
-        assert np.array_equal(logits, out.logits_ind[0])
+        assert one.f.shape == (1, model.instance_dim)
+        assert np.array_equal(one.z, out.z)
+        assert np.array_equal(one.f, out.f)
+        assert np.array_equal(one.g, out.g)
+        assert np.array_equal(one.logits_ind, out.logits_ind)
 
     def test_input_dim_checked(self):
         with pytest.raises(ParameterError):
@@ -75,28 +73,49 @@ class TestInitAndInvariants:
 
 class TestDropout:
     def test_mask_reproducible(self):
-        a = DropoutMask.draw(42, 16, 0.3)
-        b = DropoutMask.draw(42, 16, 0.3)
-        assert np.array_equal(a.keep, b.keep)
+        model = small_model(dropout=0.3)
+        x = np.ones((1, 5))
+        a = two_views_batch(model, x, seed=42)
+        b = two_views_batch(model, x, seed=42)
+        assert np.array_equal(a.cache["keep"], b.cache["keep"])
 
     def test_rate_zero_keeps_all(self):
-        assert DropoutMask.draw(0, 32, 0.0).keep.all()
+        # at rate 0 an all-keep mask leaves the forward pass untouched
+        model = small_model(dropout=0.0)
+        x = np.random.default_rng(3).normal(size=(1, 5))
+        masked = forward_batch(model, x, np.ones((1, model.hidden_dim), dtype=bool))
+        assert np.array_equal(masked.f, forward_batch(model, x).f)
 
     def test_two_views_needs_dropout(self):
         model = small_model(dropout=0.0)
         with pytest.raises(ParameterError):
-            two_views(model, np.ones(5), seed=0)
+            two_views_batch(model, np.ones((1, 5)), seed=0)
         with pytest.raises(ParameterError):
             two_views_batch(model, np.ones((2, 5)), seed=0)
 
     def test_two_views_batch_deterministic(self):
         model = small_model(dropout=0.4)
         x = np.random.default_rng(4).normal(size=(4, 5))
-        a1, b1 = two_views_batch(model, x, seed=9)
-        a2, b2 = two_views_batch(model, x, seed=9)
-        assert np.array_equal(a1.f, a2.f)
-        assert np.array_equal(b1.f, b2.f)
-        assert not np.array_equal(a1.f, b1.f)
+        a = two_views_batch(model, x, seed=9)
+        b = two_views_batch(model, x, seed=9)
+        assert a.f.shape == (8, model.instance_dim)
+        assert np.array_equal(a.f, b.f)
+        assert not np.array_equal(a.f[:4], a.f[4:])
+
+    @pytest.mark.parametrize("n", [1, 2, 7])
+    def test_two_views_mask_is_two_sequential_draws(self, n):
+        model = small_model(dropout=0.3)
+        x = np.random.default_rng(5).normal(size=(n, 5))
+        rng = np.random.default_rng(17)
+        keep_a = rng.random((n, model.hidden_dim)) >= model.dropout_rate
+        keep_b = rng.random((n, model.hidden_dim)) >= model.dropout_rate
+        out = two_views_batch(model, x, seed=17)
+        assert np.array_equal(out.cache["keep"], np.vstack([keep_a, keep_b]))
+        assert np.array_equal(out.cache["x"], np.vstack([x, x]))
+        for half, keep in ((slice(0, n), keep_a), (slice(n, 2 * n), keep_b)):
+            single = forward_batch(model, x, keep)
+            assert np.allclose(out.f[half], single.f, rtol=0.0, atol=1e-12)
+            assert np.allclose(out.g[half], single.g, rtol=0.0, atol=1e-12)
 
     def test_inverted_scaling_on_full_keep(self):
         # keep-everything mask still applies the 1/(1-rate) inverted-dropout scale
@@ -160,12 +179,25 @@ class TestGradients:
         with pytest.raises(StaleCacheError):
             backward(model, out, d_f=np.ones((2, model.instance_dim)))
 
-    def test_accumulate_grads_sums_and_isolates(self):
-        a = {"w": np.ones((2, 2))}
-        total = accumulate_grads({}, a)
-        total = accumulate_grads(total, {"w": np.full((2, 2), 2.0)})
-        assert np.all(total["w"] == 3.0)
-        assert np.all(a["w"] == 1.0)
+    def test_stacked_backward_sums_the_halves(self):
+        # one backward over the 2N-row pass equals the two per-view backwards added
+        model = small_model(seed=14, dropout=0.3)
+        rng = np.random.default_rng(15)
+        for n in (1, 3):
+            x = rng.normal(size=(n, 5))
+            out = two_views_batch(model, x, seed=16)
+            keep = out.cache["keep"]
+            d_f = rng.normal(size=(2 * n, model.instance_dim))
+            d_g = rng.normal(size=(2 * n, model.cluster_count))
+            stacked = backward(model, out, d_f=d_f, d_g=d_g)
+            halves = [
+                backward(model, forward_batch(model, x, keep[rows]), d_f=d_f[rows], d_g=d_g[rows])
+                for rows in (slice(0, n), slice(n, 2 * n))
+            ]
+            assert sorted(stacked) == sorted(model.params)
+            for name, grad in stacked.items():
+                expected = halves[0][name] + halves[1][name]
+                assert np.allclose(grad, expected, rtol=0.0, atol=1e-12), name
 
 
 class TestAdam:
@@ -246,5 +278,35 @@ class TestCheckpoints:
         doc = json.load(open(path))
         doc["weights"]["w1"] = doc["weights"]["w1"][:-1]
         json.dump(doc, open(path, "w"))
-        with pytest.raises(ParameterError):
+        with pytest.raises(DataError):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            (None, [1, 2]),  # the document itself is not an object
+            ("input_dim", True),
+            ("feature_dim", 2.0),
+            ("step", -1),
+            ("dropout_rate", 1.0),
+            ("dropout_rate", "0.1"),
+            ("weights", [0.0]),
+            ("w2", "abc"),
+            ("b5", [[0.0, 0.0, 0.0]]),
+            ("w4", None),
+        ],
+    )
+    def test_malformed_fields_are_data_errors(self, tmp_path, field, value):
+        model = small_model()
+        path = str(tmp_path / "model.json")
+        save_checkpoint(model, path)
+        doc = json.load(open(path))
+        if field is None:
+            doc = value
+        elif field in model.params:
+            doc["weights"][field] = value
+        else:
+            doc[field] = value
+        json.dump(doc, open(path, "w"))
+        with pytest.raises(DataError):
             load_checkpoint(path)

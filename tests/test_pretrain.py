@@ -13,7 +13,6 @@ from kcod.numerics import finite_diff_grad_nd, relative_error
 from kcod.pretrain import (
     ContrastQueue,
     KclConfig,
-    ce_loss,
     ce_loss_batch,
     kcl_loss,
     pretrain,
@@ -228,45 +227,51 @@ class TestKclLoss:
             KclConfig(tau=0.0)
 
 
+def ce_one(logits, label):
+    """ce_loss_batch on a single row: (loss, gradient row)."""
+    loss, grad = ce_loss_batch(np.asarray(logits, dtype=np.float64)[None, :], np.array([label]))
+    return loss, grad[0]
+
+
 class TestCeLoss:
     def test_saturated_correct_prediction(self):
         logits = np.array([50.0, 0.0, 0.0])
-        loss, _ = ce_loss(logits, 0)
+        loss, _ = ce_one(logits, 0)
         assert loss < 1e-9
 
     def test_uniform_logits(self):
-        loss, _ = ce_loss(np.zeros(7), 3)
+        loss, _ = ce_one(np.zeros(7), 3)
         assert abs(loss - math.log(7)) < 1e-12
 
     def test_two_logit_hand_value(self):
-        loss, _ = ce_loss(np.array([1.0, 0.0]), 0)
+        loss, _ = ce_one(np.array([1.0, 0.0]), 0)
         assert abs(loss - math.log(1.0 + math.exp(-1.0))) < 1e-12
         assert abs(loss - 0.313262) < 1e-6
 
     def test_gradient_is_softmax_minus_onehot(self):
         logits = np.array([0.3, -1.0, 2.0])
-        _, grad = ce_loss(logits, 2)
+        _, grad = ce_one(logits, 2)
         e = np.exp(logits - logits.max())
         p = e / e.sum()
         expected = p.copy()
         expected[2] -= 1.0
         assert np.allclose(grad, expected, atol=1e-12)
 
-        numeric = finite_diff_grad_nd(lambda v: ce_loss(v, 2)[0], logits)
+        numeric = finite_diff_grad_nd(lambda v: ce_one(v, 2)[0], logits)
         assert relative_error(grad, numeric) < 1e-6
 
     def test_label_range_checked(self):
         with pytest.raises(ParameterError):
-            ce_loss(np.zeros(3), 3)
+            ce_one(np.zeros(3), 3)
         with pytest.raises(ParameterError):
-            ce_loss(np.zeros(3), -1)
+            ce_one(np.zeros(3), -1)
 
     def test_batch_sums_singles(self):
         rng = np.random.default_rng(4)
         logits = rng.normal(size=(5, 4))
         labels = rng.integers(0, 4, size=5)
         total, grads = ce_loss_batch(logits, labels)
-        singles = [ce_loss(logits[i], int(labels[i])) for i in range(5)]
+        singles = [ce_one(logits[i], int(labels[i])) for i in range(5)]
         assert abs(total - sum(s[0] for s in singles)) < 1e-12
         for i in range(5):
             assert np.allclose(grads[i], singles[i][1], atol=1e-12)
