@@ -566,7 +566,33 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+M_TRIM_THRESHOLD = -1  # glibc mallopt parameters
+M_MMAP_THRESHOLD = -3
+HEAP_KEEP_BYTES = 32 << 20  # the largest mmap threshold glibc accepts on 64-bit
+
+
+def _keep_freed_memory() -> None:
+    """Have glibc keep freed memory for reuse, at fixed thresholds.
+
+    By default glibc gives the top of its heap back to the kernel once more
+    than twice the largest recently freed block lies free there, and that
+    threshold moves with whatever the process freed before. The training
+    loops free a few hundred KB of numpy temporaries per step, so depending
+    on how earlier imports left the heap, each step can fault the same pages
+    back in. Does nothing where the C library has no ``mallopt``.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):
+        return
+    mallopt.argtypes = [ctypes.c_int, ctypes.c_int]
+    mallopt.restype = ctypes.c_int
+    mallopt(M_MMAP_THRESHOLD, HEAP_KEEP_BYTES)
+    mallopt(M_TRIM_THRESHOLD, HEAP_KEEP_BYTES)
+
+
 def main(argv=None) -> int:
+    _keep_freed_memory()
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, ParameterError, ParseError
+from .numerics import unique_values
 
 ROLE_IND = "ind"
 ROLE_OOD = "ood"
@@ -37,7 +38,7 @@ class Dataset:
         return int(self.features.shape[1]) if self.features.ndim == 2 else 0
 
     def class_labels(self) -> np.ndarray:
-        return np.unique(self.labels)
+        return unique_values(self.labels)
 
     def subset(self, idx: np.ndarray) -> "Dataset":
         idx = np.asarray(idx)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AlignmentError, MetricUndefinedError, ParameterError
-from .numerics import as_mat64
+from .numerics import as_mat64, unique_values
 
 
 @dataclass
@@ -206,27 +206,101 @@ def nmi(pred, truth, average: str = "geometric") -> float:
     return min(max(info / denom, 0.0), 1.0)
 
 
-SILHOUETTE_BLOCK = 256  # distance rows held at once by the silhouette scores
+TILE_ELEMENTS = 1 << 18  # float64 scratch a silhouette tile may hold, all buffers together
+DISTANCE_BUFFERS = 10  # a distance tile's eight lanes, one term and its output rows
+
+
+def _tile_rows(n: int, buffers: int) -> int:
+    """Rows per tile so that ``buffers`` arrays of (rows, n) fit TILE_ELEMENTS."""
+    return max(1, min(n, TILE_ELEMENTS // (buffers * max(n, 1))))
+
+
+def _lane_sum(term, lo: int, hi: int, out: np.ndarray, lanes: np.ndarray) -> None:
+    """out = term(lo) + ... + term(hi - 1), added in the order of numpy's pairwise sum.
+
+    ``term(j, buf)`` writes the j-th addend into buf. Below 8 terms the sum is a
+    left fold; up to 128 it is eight strided accumulators combined as
+    ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)), then the tail; above that it splits at
+    half, rounded down to a multiple of 8. ``lanes`` is (9, *out.shape) scratch,
+    or (1, ...) when there are fewer than 8 terms.
+    """
+    count = hi - lo
+    tmp = lanes[-1]
+    if count == 0:
+        out.fill(0.0)
+    elif count < 8:
+        term(lo, out)
+        for j in range(lo + 1, hi):
+            out += term(j, tmp)
+    elif count <= 128:
+        r = lanes[:8]
+        for j in range(8):
+            term(lo + j, r[j])
+        body = lo + count - count % 8
+        for base in range(lo + 8, body, 8):
+            for j in range(8):
+                r[j] += term(base + j, tmp)
+        r[0] += r[1]
+        r[2] += r[3]
+        r[4] += r[5]
+        r[6] += r[7]
+        r[0] += r[2]
+        r[4] += r[6]
+        np.add(r[0], r[4], out=out)
+        for j in range(body, hi):
+            out += term(j, tmp)
+    else:
+        half = count // 2
+        half -= half % 8
+        right = np.empty_like(out)
+        _lane_sum(term, lo, lo + half, out, lanes)
+        _lane_sum(term, lo + half, hi, right, lanes)
+        out += right
+
+
+def _distance_tile(f: np.ndarray, ft: np.ndarray, lo: int, hi: int, out: np.ndarray,
+                   lanes: np.ndarray) -> None:
+    """Rows lo..hi-1 of the distance matrix into out, from f and its transpose ft.
+
+    Each squared difference is one (rows, n) term per feature, and the terms
+    are lane-summed exactly as ``np.sum`` adds a row of F squares, so every
+    distance equals the per-row loop's bit for bit.
+    """
+    rows = f[lo:hi, :, None]
+
+    def term(j, buf):
+        np.subtract(ft[j], rows[:, j], out=buf)
+        return np.square(buf, out=buf)
+
+    _lane_sum(term, 0, f.shape[1], out, lanes)
+    np.sqrt(out, out=out)
+
+
+def _distance_lanes(n: int, dim: int) -> np.ndarray:
+    """Scratch for one distance tile: (9, rows, n), or (1, rows, n) below 8 features."""
+    return np.empty((9 if dim >= 8 else 1, _tile_rows(n, DISTANCE_BUFFERS), n))
 
 
 def pairwise_distances(
     features: np.ndarray, start: int = 0, stop: int | None = None, out: np.ndarray | None = None
 ) -> np.ndarray:
-    """Euclidean distances of rows start..stop-1 to every row, from explicit differences.
+    """Euclidean distances of rows start..stop-1 to every row.
 
     With the default range this is the full distance matrix. ``out``, when
-    given, is a (stop - start, n) buffer the rows are written into.
+    given, is a (stop - start, n) buffer the rows are written into. The rows
+    are computed in cache-sized tiles, and each equals ``sqrt(sum((f - f[i])**2,
+    axis=1))`` exactly.
     """
     f = as_mat64(features)
     n = f.shape[0]
     stop = n if stop is None else stop
     d = np.empty((stop - start, n)) if out is None else out
-    diff = np.empty_like(f)
-    for r, i in enumerate(range(start, stop)):
-        np.subtract(f, f[i], out=diff)
-        np.square(diff, out=diff)
-        np.sum(diff, axis=1, out=d[r])
-        np.sqrt(d[r], out=d[r])
+    ft = np.ascontiguousarray(f.T)
+    lanes = _distance_lanes(n, f.shape[1])
+    step = lanes.shape[1]
+    for lo in range(start, stop, step):
+        hi = min(lo + step, stop)
+        _distance_tile(f, ft, lo, hi, d[lo - start : hi - start], lanes[:, : hi - lo])
     return d
 
 
@@ -257,59 +331,74 @@ def silhouette(features, assignments) -> float:
     b_i the smallest per-other-cluster mean distance. Singleton clusters score
     0, as do points with a_i = b_i = 0.
 
-    Exact: every mean is a 1-D reduce over contiguous distances in index
-    order, the arithmetic of the plain per-point loop. Distances are computed
-    SILHOUETTE_BLOCK rows at a time, so memory grows with N, not N^2.
+    Exact, ``==`` to the plain per-point loop. The rows are stable-sorted by
+    cluster once, so each cluster's distances are one contiguous slice of a
+    row, summed in index order; the own-cluster mean drops the self column
+    with a mask. Distances are lane-summed in tiles of rows (see
+    ``pairwise_distances``), and the per-point scores are put back in input
+    order before the final mean. Memory is bounded by TILE_ELEMENTS, so it
+    grows with N, not N^2.
     """
     f, inv, sizes = _silhouette_labels(features, assignments)
     n, k = inv.size, sizes.size
-    members = [np.flatnonzero(inv == c) for c in range(k)]
+    order = np.argsort(inv, kind="stable")
+    f = f[order]
+    ft = np.ascontiguousarray(f.T)
+    bounds = np.concatenate(([0], np.cumsum(sizes))).tolist()
+    own = inv[order]
+    lanes = _distance_lanes(n, f.shape[1])
+    step = lanes.shape[1]
+    buf = np.empty((step, n))
+    means = np.empty((step, k))
     a = np.zeros(n)
     b = np.empty(n)
-    buf = np.empty((min(SILHOUETTE_BLOCK, n), n))
-    means = np.empty((buf.shape[0], k))
-    for lo in range(0, n, SILHOUETTE_BLOCK):
-        hi = min(lo + SILHOUETTE_BLOCK, n)
-        d = pairwise_distances(f, lo, hi, out=buf[: hi - lo])
-        own = inv[lo:hi]
+    for lo in range(0, n, step):
+        hi = min(lo + step, n)
+        d = buf[: hi - lo]
+        _distance_tile(f, ft, lo, hi, d, lanes[:, : hi - lo])
         block = means[: hi - lo]
-        for c, cols in enumerate(members):
-            # the gather must be C-ordered for each row mean to be a 1-D reduce
-            block[:, c] = np.ascontiguousarray(d[:, cols]).mean(axis=1)
-            local = np.flatnonzero(own == c)
-            if local.size and cols.size > 1:
-                # each row drops its own column from its cluster's distances
-                skip = np.searchsorted(cols, lo + local)
-                take = np.arange(cols.size - 1)
-                take = take[None, :] + (take[None, :] >= skip[:, None])
-                a[lo + local] = d[local[:, None], cols[take]].mean(axis=1)
-        block[np.arange(hi - lo), own] = np.inf
+        for c in range(k):
+            s, e = bounds[c], bounds[c + 1]
+            np.mean(d[:, s:e], axis=1, out=block[:, c])
+            rs, re = max(lo, s), min(hi, e)
+            if rs < re and e - s > 1:
+                # each of the cluster's rows drops its own column from the slice
+                keep = np.ones((re - rs, e - s), dtype=bool)
+                keep[np.arange(re - rs), np.arange(rs - s, re - s)] = False
+                a[rs:re] = d[rs - lo : re - lo, s:e][keep].reshape(re - rs, -1).mean(axis=1)
+        block[np.arange(hi - lo), own[lo:hi]] = np.inf
         b[lo:hi] = block.min(axis=1)
-    return float(np.mean(_silhouette_values(a, b, sizes[inv] == 1)))
+    scores = np.empty(n)
+    scores[order] = _silhouette_values(a, b, sizes[own] == 1)
+    return float(np.mean(scores))
 
 
 def silhouette_gram(features, assignments) -> float:
     """``silhouette`` from Gram-matrix distances, for ranking training epochs.
 
-    Distances come from sqrt(max(|x|^2 + |y|^2 - 2 x.y, 0)) in blocks of
-    SILHOUETTE_BLOCK rows, and per-cluster sums from one matmul per block
-    against the one-hot assignment matrix. It equals the exact score up to
-    round-off, which grows for nearly coincident points, so it serves model
-    selection and reports use ``silhouette``.
+    Each tile of rows gets its squared distances |x|^2 + |y|^2 - 2 x.y from one
+    matmul of augmented rows, [-2x, |x|^2, 1] against [y, 1, |y|^2], then
+    sqrt(max(., 0)), and its per-cluster sums from one matmul against the
+    one-hot assignment matrix. Tiles are sized by TILE_ELEMENTS, so memory
+    grows with N, not N^2. It equals the exact score up to round-off, which
+    grows for nearly coincident points, so it serves model selection and
+    reports use ``silhouette``.
     """
     f, inv, sizes = _silhouette_labels(features, assignments)
     n, k = inv.size, sizes.size
     rows = np.arange(n)
     onehot = np.zeros((n, k))
     onehot[rows, inv] = 1.0
-    sq = np.einsum("ij,ij->i", f, f)
+    sq = np.einsum("ij,ij->i", f, f)[:, None]
+    ones = np.ones((n, 1))
+    left = np.hstack([-2.0 * f, sq, ones])
+    right = np.hstack([f, ones, sq])
+    step = _tile_rows(n, 1)
+    buf = np.empty((step, n))
     sums = np.empty((n, k))
-    for lo in range(0, n, SILHOUETTE_BLOCK):
-        hi = min(lo + SILHOUETTE_BLOCK, n)
-        d = f[lo:hi] @ f.T
-        d *= -2.0
-        d += sq[None, :]
-        d += sq[lo:hi, None]
+    for lo in range(0, n, step):
+        hi = min(lo + step, n)
+        d = np.matmul(left[lo:hi], right.T, out=buf[: hi - lo])
         np.maximum(d, 0.0, out=d)
         np.sqrt(d, out=d)
         d[rows[: hi - lo], rows[lo:hi]] = 0.0
@@ -465,7 +554,7 @@ def evaluate(features, pred, truth) -> EvalReport:
         sc = math.nan
     intra, inter = intra_inter_distances(features, truth)
     compact = {
-        int(c): compactness_ratio(features, truth, int(c)) for c in np.unique(truth)
+        int(c): compactness_ratio(features, truth, int(c)) for c in unique_values(truth)
     }
     return EvalReport(
         acc=clustering_accuracy(pred, truth),

@@ -19,6 +19,15 @@ Vec64 = np.ndarray
 Mat64 = np.ndarray
 
 
+def unique_values(values) -> np.ndarray:
+    """Sorted distinct values, as ``np.unique(values)``.
+
+    Asking for the inverse takes numpy's sorting path, which skips the
+    ``np.ma.is_masked`` check and so the 10-16 ms lazy import of numpy.ma.
+    """
+    return np.unique(values, return_inverse=True)[0]
+
+
 def as_vec64(values) -> Vec64:
     """Coerce to a finite 1-D float64 array."""
     v = np.asarray(values, dtype=np.float64)

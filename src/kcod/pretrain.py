@@ -18,6 +18,7 @@ from .contrast import masked_info_nce, stable_top_k_mask
 from .data import Dataset
 from .encoder import AdamState, EncoderModel, adam_step, backward, forward_batch
 from .errors import DataError, EmptyObjectiveError, ParameterError
+from .numerics import unique_values
 
 SAMPLES_PER_ANCHOR = 10
 QUEUE_FACTOR = 10  # capacity = QUEUE_FACTOR * batch_size
@@ -69,7 +70,7 @@ class ContrastQueue:
 
 def class_index(labels: np.ndarray) -> dict[int, np.ndarray]:
     """Label value -> array of sample indices."""
-    return {int(c): np.where(labels == c)[0] for c in np.unique(labels)}
+    return {int(c): np.where(labels == c)[0] for c in unique_values(labels)}
 
 
 def refresh_queue(

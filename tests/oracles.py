@@ -1,4 +1,4 @@
-"""Per-anchor loop forms of the batched losses, queue refresh and silhouette.
+"""Per-anchor loop forms of the batched losses, queue refresh, distances and silhouette.
 
 Each function here is the plain loop the package's batched code replaced,
 kept as the reference that the batched code is property-tested against.
@@ -176,6 +176,21 @@ def refresh_queue_loop(queue, model: EncoderModel, batch_labels, train_features,
     out = forward_batch(model, train_features[np.concatenate(picks)])
     queue.push(out.f, np.asarray(pick_labels, dtype=np.int64))
     return queue
+
+
+def pairwise_distances_loop(features, start=0, stop=None) -> np.ndarray:
+    """Distance rows start..stop-1, one row per iteration: sqrt(sum((f - f[i])**2, axis=1))."""
+    f = np.asarray(features, dtype=np.float64)
+    n = f.shape[0]
+    stop = n if stop is None else stop
+    d = np.empty((stop - start, n))
+    diff = np.empty_like(f)
+    for r, i in enumerate(range(start, stop)):
+        np.subtract(f, f[i], out=diff)
+        np.square(diff, out=diff)
+        np.sum(diff, axis=1, out=d[r])
+        np.sqrt(d[r], out=d[r])
+    return d
 
 
 def silhouette_loop(features, assignments) -> float:

@@ -1,11 +1,12 @@
-"""Batched losses, queue refresh and silhouette against their loop oracles.
+"""Batched losses, queue refresh, distances and silhouette against their loop oracles.
 
 The oracles in ``oracles.py`` are the per-anchor and per-point loops the
 batched code replaced. Losses and gradients must agree to 1e-12 (relative to
 the larger of 1 and the oracle's magnitude), the queue refresh must draw the
-same indices and leave the generator in the same state, and the exact
-silhouette must agree bit for bit. "Palette" geometries draw every row from
-a few signed axis vectors, so similarities are exact and ties are real.
+same indices and leave the generator in the same state, and the distances
+and the exact silhouette must agree bit for bit. "Palette" geometries draw
+every row from a few signed axis vectors, so similarities are exact and ties
+are real.
 """
 
 import numpy as np
@@ -17,6 +18,7 @@ from oracles import (
     kcc_loss_loop,
     kcl_loss_loop,
     pair_contrast_loop,
+    pairwise_distances_loop,
     refresh_queue_loop,
     silhouette_loop,
     stable_top_k,
@@ -31,7 +33,7 @@ from kcod.contrast import (
 from kcod.data import gen_blobs
 from kcod.encoder import EncoderModel
 from kcod.errors import DataError, EmptyObjectiveError, ParameterError
-from kcod.metrics import pairwise_distances, silhouette, silhouette_gram
+from kcod.metrics import DISTANCE_BUFFERS, _tile_rows, pairwise_distances, silhouette, silhouette_gram
 from kcod.pretrain import ContrastQueue, KclConfig, class_index, kcl_loss, refresh_queue
 
 TOL = 1e-12
@@ -214,7 +216,7 @@ class TestRefreshQueueAgainstLoop:
 
 
 class TestSilhouetteAgainstLoop:
-    @given(st.integers(0, 10_000), st.integers(2, 300), st.integers(1, 5), st.integers(2, 6),
+    @given(st.integers(0, 10_000), st.integers(2, 300), st.integers(1, 40), st.integers(2, 6),
            st.booleans())
     @settings(max_examples=40, deadline=None)
     def test_exact_equality(self, seed, n, dim, k, rounded):
@@ -243,6 +245,26 @@ class TestSilhouetteAgainstLoop:
         assert pairwise_distances(x, 3, 7, out=out) is out
         assert np.array_equal(out, full[3:7])
         assert np.array_equal(pairwise_distances(x, 8), full[8:])
+
+
+class TestDistancesAgainstLoop:
+    """The tiled, lane-summed distances equal the per-row loop bit for bit.
+
+    The feature counts cover each branch of numpy's pairwise sum: a left fold
+    below 8, eight lanes plus a tail up to 128, and a split above. Each n
+    above one tile leaves a partial last tile.
+    """
+
+    @pytest.mark.parametrize("dim", [1, 7, 8, 9, 15, 16, 17, 128, 129, 150])
+    @pytest.mark.parametrize("n", [3, 170, 700])
+    def test_exact_equality(self, n, dim):
+        rows = _tile_rows(n, DISTANCE_BUFFERS)
+        assert rows == n or n % rows != 0
+        rng = np.random.default_rng(n * 1000 + dim)
+        x = rng.normal(size=(n, dim))
+        x[: n // 3] = np.round(2.0 * x[: n // 3]) / 2.0  # coincident points, tied distances
+        assert np.array_equal(pairwise_distances(x), pairwise_distances_loop(x))
+        assert np.array_equal(pairwise_distances(x, 1, n - 1), pairwise_distances_loop(x, 1, n - 1))
 
 
 class TestSelectionScore:

@@ -1,4 +1,5 @@
 import csv
+import ctypes
 import json
 import os
 import shutil
@@ -363,6 +364,9 @@ class TestConsoleScript:
 
 
 class TestNoScipyAtRunTime:
+    """The commands never import scipy, nor numpy.ma, whose lazy import a
+    plain ``np.unique`` triggers at 10-16 ms a process."""
+
     SCRIPT = """
 import json, sys
 from kcod.cli import main
@@ -378,26 +382,68 @@ runs = [
 ]
 for argv in runs:
     code = main(argv)
-    print("#", argv[0], code, "scipy" in sys.modules)
+    print("#", argv[0], code, sys.argv[3] in sys.modules)
 """
 
-    def test_commands_never_import_scipy(self, tmp_path):
+    def imported_after_each_command(self, tmp_path, module):
         env = dict(os.environ)
         src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
         env["PYTHONPATH"] = os.pathsep.join([src] + [p for p in [env.get("PYTHONPATH")] if p])
         rest = ["--seed", "0", "--batch", "8", "--k-neg", "8"] + MICRO + SMALL_NET
         result = subprocess.run(
-            [sys.executable, "-c", self.SCRIPT, str(tmp_path), json.dumps(rest)],
+            [sys.executable, "-c", self.SCRIPT, str(tmp_path), json.dumps(rest), module],
             env=env,
             capture_output=True,
             text=True,
         )
         assert result.returncode == 0, result.stderr
-        assert [line for line in result.stdout.splitlines() if line.startswith("#")] == [
-            "# pipeline 0 False",
-            "# evaluate 0 False",
-            "# cluster 0 False",
-        ]
+        return [line for line in result.stdout.splitlines() if line.startswith("#")]
+
+    NOT_IMPORTED = ["# pipeline 0 False", "# evaluate 0 False", "# cluster 0 False"]
+
+    def test_commands_never_import_scipy(self, tmp_path):
+        assert self.imported_after_each_command(tmp_path, "scipy") == self.NOT_IMPORTED
+
+    def test_commands_never_import_numpy_ma(self, tmp_path):
+        assert self.imported_after_each_command(tmp_path, "numpy.ma") == self.NOT_IMPORTED
+
+
+class TestFreedMemoryIsKept:
+    """After ``main`` has run, a step that allocates and frees 1.2 MB of
+    temporaries reuses its pages instead of faulting them in again."""
+
+    SCRIPT = """
+import resource, sys
+import numpy as np
+if sys.argv[1] == "main":
+    from kcod.cli import main
+    main(["--help"])
+
+def step():
+    parts = [np.ones(50_000) for _ in range(3)]  # 400 KB each
+    return sum(float(p[0]) for p in parts)
+
+step()
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(50):
+    step()
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+    def page_faults(self, mode):
+        env = dict(os.environ)
+        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+        env["PYTHONPATH"] = os.pathsep.join([src] + [p for p in [env.get("PYTHONPATH")] if p])
+        result = subprocess.run(
+            [sys.executable, "-c", self.SCRIPT, mode], env=env, capture_output=True, text=True
+        )
+        assert result.returncode == 0, result.stderr
+        return int(result.stdout.split()[-1])
+
+    def test_steps_stop_faulting_after_main(self):
+        if not hasattr(ctypes.CDLL(None), "mallopt"):
+            pytest.skip("the C library has no mallopt")
+        assert self.page_faults("main") < 500  # 8000-13000 with glibc's defaults
 
 
 def run_cli_subprocess(argv, **env_vars):

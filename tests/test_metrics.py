@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from kcod.metrics import (
     nmi,
     pairwise_distances,
     silhouette,
+    silhouette_gram,
     write_confusion_csv,
     write_report,
 )
@@ -245,6 +247,24 @@ class TestSilhouette:
         pts = np.array([[0.0, 0.0], [3.0, 4.0]])
         d = pairwise_distances(pts)
         assert d[0, 1] == 5.0 and d[1, 0] == 5.0 and d[0, 0] == 0.0
+
+
+class TestSilhouetteMemory:
+    """Both scores work in tiles, so memory grows with N, not N^2."""
+
+    @pytest.mark.parametrize("score", [silhouette, silhouette_gram])
+    def test_peak_far_below_the_distance_matrix(self, score):
+        n = 4000
+        rng = np.random.default_rng(0)
+        pts = rng.normal(size=(n, 16))
+        labels = rng.integers(0, 5, size=n)
+        tracemalloc.start()
+        try:
+            score(pts, labels)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < n * n * 8 // 16  # 8 MB, against 128 MB for the full matrix
 
 
 class TestIntraInter:
