@@ -35,7 +35,7 @@ from .data import (
     save_jsonl,
     split_ind_ood,
 )
-from .encoder import EncoderModel, forward_batch, load_checkpoint, save_checkpoint
+from .encoder import AdamState, EncoderModel, forward_batch, load_checkpoint, save_checkpoint
 from .errors import (
     AlignmentError,
     DataError,
@@ -101,6 +101,8 @@ class RunConfig:
             raise ParameterError("--c must be >= 2")
         self.kcl()
         self.kcc()
+        AdamState(learning_rate=self.lr_pretrain)
+        AdamState(learning_rate=self.lr_cluster)
         return self
 
     def kcl(self) -> KclConfig:

@@ -26,12 +26,11 @@ from .contrast import (
 )
 from .data import Dataset
 from .encoder import (
-    AdamState,
     BatchForward,
     EncoderModel,
-    adam_step,
     backward,
     forward_batch,
+    train_epochs,
     two_views_batch,
 )
 from .errors import MetricUndefinedError, ParameterError
@@ -54,8 +53,10 @@ class KccConfig:
             raise ParameterError(f"threshold must be in (0,1), got {self.threshold}")
         if self.k_neg < 1:
             raise ParameterError(f"k_neg must be >= 1, got {self.k_neg}")
-        if self.tau <= 0 or self.tau_clu <= 0:
-            raise ParameterError("temperatures must be positive")
+        if not (0 < self.tau < np.inf and 0 < self.tau_clu < np.inf):
+            raise ParameterError("temperatures must be finite and > 0")
+        if not np.isfinite(self.reg_weight):
+            raise ParameterError(f"reg_weight must be finite, got {self.reg_weight}")
 
 
 @dataclass
@@ -230,51 +231,42 @@ def cluster_train(
     """
     if mode not in CLUSTER_MODES:
         raise ParameterError(f"mode must be one of {CLUSTER_MODES}, got '{mode}'")
-    if epochs < 0:
-        raise ParameterError("epochs must be >= 0")
     if batch_size < 2:
         raise ParameterError("batch_size must be >= 2")
     if model.cluster_count < 2:
         raise ParameterError("model needs a cluster head with >= 2 clusters")
 
     x = ood_dataset.features
-    n = len(ood_dataset)
     rng = np.random.default_rng(seed)
-    adam = AdamState(learning_rate=learning_rate)
     log: list[ClusterEpoch] = []
     best_sc = -np.inf
-    best_model: EncoderModel | None = None
+    best_model = model
     use_cluster_route = mode in ("kcod", "kcod_wo_kcc", "cluster_only")
     use_instance_route = mode in ("kcod", "kcod_wo_kcc", "instance_only")
 
-    for epoch in range(epochs):
-        order = rng.permutation(n)
-        sums = np.zeros(3)  # clu, instance, reg
-        batches = 0
-        for lo in range(0, n, batch_size):
-            batch = order[lo : lo + batch_size]
-            if batch.size < 2:
-                continue  # a stray single sample cannot form a contrast pair
-            view_seed = int(rng.integers(0, 2**63 - 1))
-            views = two_views_batch(model, x[batch], view_seed)
-            nb = batch.size
-            state = ClusterBatchState(f_views=views.f, g_a=views.g[:nb], g_b=views.g[nb:])
-            d_f = d_g = None
-            clu_val = ins_val = reg_val = 0.0
-            if use_cluster_route:
-                clu_val, d_g_a, d_g_b = cluster_level_loss(state, config.tau_clu)
-                reg_val, d_reg = entropy_regularizer(views.g)
-                d_g = np.vstack([d_g_a, d_g_b]) + config.reg_weight * d_reg
-            if use_instance_route:
-                if mode == "kcod":
-                    ins_val, d_f = kcc_loss(state, config)
-                else:
-                    ins_val, d_f = instance_level_loss(state, config.tau)
-            grads = backward(model, views, d_f=d_f, d_g=d_g)
-            adam_step(adam, model, grads)
-            sums += (clu_val, ins_val, reg_val)
-            batches += 1
-        clu_mean, ins_mean, reg_mean = (float(v) for v in sums / max(batches, 1))
+    def step(batch):
+        if batch.size < 2:
+            return None  # a stray single sample cannot form a contrast pair
+        view_seed = int(rng.integers(0, 2**63 - 1))
+        views = two_views_batch(model, x[batch], view_seed)
+        nb = batch.size
+        state = ClusterBatchState(f_views=views.f, g_a=views.g[:nb], g_b=views.g[nb:])
+        d_f = d_g = None
+        clu_val = ins_val = reg_val = 0.0
+        if use_cluster_route:
+            clu_val, d_g_a, d_g_b = cluster_level_loss(state, config.tau_clu)
+            reg_val, d_reg = entropy_regularizer(views.g)
+            d_g = np.vstack([d_g_a, d_g_b]) + config.reg_weight * d_reg
+        if use_instance_route:
+            if mode == "kcod":
+                ins_val, d_f = kcc_loss(state, config)
+            else:
+                ins_val, d_f = instance_level_loss(state, config.tau)
+        return (clu_val, ins_val, reg_val), backward(model, views, d_f=d_f, d_g=d_g)
+
+    def end_epoch(epoch, sums, batches):
+        nonlocal best_sc, best_model
+        means = sums / batches if batches else np.zeros(3)
         eval_seed = int(np.random.SeedSequence((seed, epoch)).generate_state(1)[0])
         out = forward_batch(model, x)
         pred = predict_clusters(out, mode, eval_seed)
@@ -282,12 +274,12 @@ def cluster_train(
             sc = silhouette_gram(out.f, pred)
         except MetricUndefinedError:
             sc = float("nan")
-        log.append(ClusterEpoch(epoch, clu_mean, ins_mean, reg_mean, sc))
+        log.append(ClusterEpoch(epoch, *(float(v) for v in means), sc))
         if sc == sc and sc > best_sc:
             best_sc = sc
             best_model = model.copy()
-    if best_model is None:
-        best_model = model
+
+    train_epochs(model, len(ood_dataset), epochs, batch_size, rng, learning_rate, step, end_epoch)
     return best_model, log
 
 

@@ -76,8 +76,10 @@ def gen_blobs(
         raise ParameterError(f"need dim >= 2, got {dim}")
     if per_class < 1:
         raise ParameterError(f"need per_class >= 1, got {per_class}")
-    if noise_sigma < 0:
-        raise ParameterError(f"noise_sigma must be non-negative, got {noise_sigma}")
+    if not 0 <= noise_sigma < np.inf:
+        raise ParameterError(f"noise_sigma must be finite and >= 0, got {noise_sigma}")
+    if not np.isfinite(center_scale):
+        raise ParameterError(f"center_scale must be finite, got {center_scale}")
     rng = np.random.default_rng(seed)
     directions = rng.normal(size=(classes, dim))
     directions /= np.linalg.norm(directions, axis=1, keepdims=True)

@@ -3,25 +3,38 @@
 Layout: input -> hidden (ReLU, dropout) -> feature z; from z three linear
 heads produce the unit-norm instance feature f, the cluster probability
 vector g (softmax over ``cluster_count`` entries), and in-domain class
-logits for cross-entropy training.
+logits for cross-entropy training. Every parameter is a named view into one
+float64 vector, ``model.flat``, laid out by the ``LAYERS`` table.
 
 Forward passes cache their activations; ``backward`` turns upstream
-gradients on (f, g, ind logits) into parameter gradients, and
-``adam_step`` applies them. Every mutation bumps ``model.version`` so a
-cache from before the update is rejected as stale.
+gradients on (f, g, ind logits) into one flat gradient, ``adam_step``
+applies it to the whole vector, and ``train_epochs`` is the shuffled
+mini-batch loop of both training stages. Every mutation bumps
+``model.version`` so a cache from before the update is rejected as stale.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
+import math
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
 from .errors import DataError, DivergenceError, ParameterError, StaleCacheError
 from .numerics import softmax_rows
 
-PARAM_NAMES = ("w1", "b1", "w2", "b2", "w3", "b3", "w4", "b4", "w5", "b5")
+# The parameter layout: (weight, bias, fan-in, fan-out) per linear layer, fans
+# named by model dimension, in flat-buffer and init-draw order.
+LAYERS = (
+    ("w1", "b1", "input_dim", "hidden_dim"),
+    ("w2", "b2", "hidden_dim", "feature_dim"),
+    ("w3", "b3", "feature_dim", "instance_dim"),
+    ("w4", "b4", "feature_dim", "cluster_count"),
+    ("w5", "b5", "feature_dim", "ind_class_count"),
+)
 
 _F_NORM_FLOOR = 1e-12
 
@@ -35,10 +48,46 @@ class EncoderModel:
     cluster_count: int    # g
     ind_class_count: int
     dropout_rate: float
-    params: dict[str, np.ndarray]
     seed: int
+    flat: np.ndarray | None = None  # every parameter; zeros when not given
     step: int = 0
     version: int = 0
+    params: dict[str, np.ndarray] = field(init=False, repr=False)  # views into flat
+
+    def __post_init__(self):
+        shapes = self._shapes().values()
+        if min(map(min, shapes)) < 1:
+            raise ParameterError("all dimensions must be positive")
+        if not 0.0 <= self.dropout_rate < 1.0:
+            raise ParameterError(f"dropout rate must be in [0, 1), got {self.dropout_rate}")
+        size = sum(map(math.prod, shapes))
+        if self.flat is None:
+            self.flat = np.zeros(size)
+        if self.flat.shape != (size,):
+            raise ParameterError(f"expected {size} parameters, got shape {self.flat.shape}")
+        self.params = self.views(self.flat)
+
+    def _shapes(self) -> dict[str, tuple[int, ...]]:
+        """Parameter name -> shape, in flat-buffer order."""
+        out = {}
+        for w, b, fan_in, fan_out in LAYERS:
+            out[w] = (getattr(self, fan_in), getattr(self, fan_out))
+            out[b] = out[w][1:]
+        return out
+
+    def views(self, flat: np.ndarray) -> dict[str, np.ndarray]:
+        """Named views of a vector in this model's parameter layout."""
+        out, lo = {}, 0
+        for name, shape in self._shapes().items():
+            hi = lo + math.prod(shape)
+            out[name] = flat[lo:hi].reshape(shape)
+            lo = hi
+        return out
+
+    def _draw(self, weight: str, rng: np.random.Generator) -> None:
+        """He-normal init of one weight; biases stay zero."""
+        w = self.params[weight]
+        w[...] = rng.normal(0.0, np.sqrt(2.0 / w.shape[0]), size=w.shape)
 
     @classmethod
     def init(
@@ -52,60 +101,23 @@ class EncoderModel:
         dropout_rate: float = 0.1,
         seed: int = 0,
     ) -> "EncoderModel":
-        if min(input_dim, hidden_dim, feature_dim, instance_dim, cluster_count, ind_class_count) < 1:
-            raise ParameterError("all dimensions must be positive")
-        if not 0.0 <= dropout_rate < 1.0:
-            raise ParameterError(f"dropout rate must be in [0, 1), got {dropout_rate}")
+        model = cls(input_dim, hidden_dim, feature_dim, instance_dim, cluster_count,
+                    ind_class_count, dropout_rate, seed)
         rng = np.random.default_rng(seed)
-
-        def linear(n_in: int, n_out: int) -> tuple[np.ndarray, np.ndarray]:
-            w = rng.normal(0.0, np.sqrt(2.0 / n_in), size=(n_in, n_out))
-            return w, np.zeros(n_out)
-
-        w1, b1 = linear(input_dim, hidden_dim)
-        w2, b2 = linear(hidden_dim, feature_dim)
-        w3, b3 = linear(feature_dim, instance_dim)
-        w4, b4 = linear(feature_dim, cluster_count)
-        w5, b5 = linear(feature_dim, ind_class_count)
-        params = dict(w1=w1, b1=b1, w2=w2, b2=b2, w3=w3, b3=b3, w4=w4, b4=b4, w5=w5, b5=b5)
-        return cls(
-            input_dim=input_dim,
-            hidden_dim=hidden_dim,
-            feature_dim=feature_dim,
-            instance_dim=instance_dim,
-            cluster_count=cluster_count,
-            ind_class_count=ind_class_count,
-            dropout_rate=dropout_rate,
-            params=params,
-            seed=seed,
-        )
+        for w, *_ in LAYERS:
+            model._draw(w, rng)
+        return model
 
     def copy(self) -> "EncoderModel":
-        m = EncoderModel(
-            input_dim=self.input_dim,
-            hidden_dim=self.hidden_dim,
-            feature_dim=self.feature_dim,
-            instance_dim=self.instance_dim,
-            cluster_count=self.cluster_count,
-            ind_class_count=self.ind_class_count,
-            dropout_rate=self.dropout_rate,
-            params={k: v.copy() for k, v in self.params.items()},
-            seed=self.seed,
-            step=self.step,
-            version=self.version,
-        )
-        return m
+        return dataclasses.replace(self, flat=self.flat.copy())
 
     def with_cluster_count(self, cluster_count: int, seed: int) -> "EncoderModel":
         """Copy of the model with a freshly initialized cluster head of the given width."""
-        if cluster_count < 1:
-            raise ParameterError("cluster_count must be positive")
-        m = self.copy()
-        rng = np.random.default_rng(seed)
-        m.params["w4"] = rng.normal(0.0, np.sqrt(2.0 / self.feature_dim), size=(self.feature_dim, cluster_count))
-        m.params["b4"] = np.zeros(cluster_count)
-        m.cluster_count = cluster_count
-        m.version += 1
+        m = dataclasses.replace(self, cluster_count=cluster_count, flat=None, version=self.version + 1)
+        for name, value in self.params.items():
+            if name not in ("w4", "b4"):
+                m.params[name][...] = value
+        m._draw("w4", np.random.default_rng(seed))
         return m
 
 
@@ -171,8 +183,12 @@ def backward(
     d_f: np.ndarray | None = None,
     d_g: np.ndarray | None = None,
     d_logits_ind: np.ndarray | None = None,
-) -> dict[str, np.ndarray]:
-    """Parameter gradients from upstream gradients on f, g and/or the IND logits."""
+) -> np.ndarray:
+    """Flat parameter gradient from upstream gradients on f, g and/or the IND logits.
+
+    A head without an upstream gradient gets zeros; ``model.views`` names
+    the parts of the returned vector.
+    """
     if out.version != model.version:
         raise StaleCacheError(
             f"cache from model version {out.version}, model is at {model.version}"
@@ -181,51 +197,36 @@ def backward(
     p = model.params
     n = c["x"].shape[0]
 
-    d_z = np.zeros((n, model.feature_dim))
-    grads: dict[str, np.ndarray] = {}
+    flat = np.zeros(model.flat.size)
+    grads = model.views(flat)
 
+    def linear(w: str, b: str, inputs: np.ndarray, d_out: np.ndarray) -> np.ndarray:
+        """Fill one linear layer's gradients; return the gradient on its inputs."""
+        grads[w][...] = inputs.T @ d_out
+        grads[b][...] = d_out.sum(axis=0)
+        return d_out @ p[w].T
+
+    d_z = np.zeros((n, model.feature_dim))
     if d_f is not None:
         d_f = np.asarray(d_f, dtype=np.float64)
         # through f = f_pre / |f_pre|: project out the radial component
         radial = np.sum(d_f * c["f"], axis=1, keepdims=True)
-        d_f_pre = (d_f - radial * c["f"]) / c["f_norm"]
-        grads["w3"] = c["z"].T @ d_f_pre
-        grads["b3"] = d_f_pre.sum(axis=0)
-        d_z += d_f_pre @ p["w3"].T
-    else:
-        grads["w3"] = np.zeros_like(p["w3"])
-        grads["b3"] = np.zeros_like(p["b3"])
-
+        d_z += linear("w3", "b3", c["z"], (d_f - radial * c["f"]) / c["f_norm"])
     if d_g is not None:
         d_g = np.asarray(d_g, dtype=np.float64)
         # through row softmax
         inner = np.sum(d_g * c["g"], axis=1, keepdims=True)
-        d_g_logits = c["g"] * (d_g - inner)
-        grads["w4"] = c["z"].T @ d_g_logits
-        grads["b4"] = d_g_logits.sum(axis=0)
-        d_z += d_g_logits @ p["w4"].T
-    else:
-        grads["w4"] = np.zeros_like(p["w4"])
-        grads["b4"] = np.zeros_like(p["b4"])
-
+        d_z += linear("w4", "b4", c["z"], c["g"] * (d_g - inner))
     if d_logits_ind is not None:
-        d_logits_ind = np.asarray(d_logits_ind, dtype=np.float64)
-        grads["w5"] = c["z"].T @ d_logits_ind
-        grads["b5"] = d_logits_ind.sum(axis=0)
-        d_z += d_logits_ind @ p["w5"].T
-    else:
-        grads["w5"] = np.zeros_like(p["w5"])
-        grads["b5"] = np.zeros_like(p["b5"])
+        d_z += linear("w5", "b5", c["z"], np.asarray(d_logits_ind, dtype=np.float64))
 
-    grads["w2"] = c["h"].T @ d_z
-    grads["b2"] = d_z.sum(axis=0)
-    d_h = d_z @ p["w2"].T
+    d_h = linear("w2", "b2", c["h"], d_z)
     if c["keep"] is not None:
         d_h = d_h * c["keep"] / (1.0 - model.dropout_rate)
     d_h_pre = d_h * (c["h_pre"] > 0.0)
-    grads["w1"] = c["x"].T @ d_h_pre
-    grads["b1"] = d_h_pre.sum(axis=0)
-    return grads
+    grads["w1"][...] = c["x"].T @ d_h_pre
+    grads["b1"][...] = d_h_pre.sum(axis=0)
+    return flat
 
 
 @dataclass
@@ -235,66 +236,82 @@ class AdamState:
     beta2: float = 0.999
     eps: float = 1e-8
     step: int = 0
-    m: dict[str, np.ndarray] = field(default_factory=dict)
-    v: dict[str, np.ndarray] = field(default_factory=dict)
+    m: np.ndarray | None = None  # first and second moments of the flat gradient
+    v: np.ndarray | None = None
+
+    def __post_init__(self):
+        if not 0.0 < self.learning_rate < np.inf:
+            raise ParameterError(f"learning rate must be finite and > 0, got {self.learning_rate}")
 
 
-def adam_step(state: AdamState, model: EncoderModel, grads: dict[str, np.ndarray]) -> EncoderModel:
-    """In-place Adam update with bias correction; bumps the model version."""
-    for name, g in grads.items():
-        if name not in model.params:
-            raise ParameterError(f"unknown parameter {name!r}")
-        if g.shape != model.params[name].shape:
-            raise ParameterError(f"gradient shape mismatch for {name!r}")
-        if not np.all(np.isfinite(g)):
-            raise DivergenceError(f"non-finite gradient for {name!r}")
+def adam_step(state: AdamState, model: EncoderModel, grad: np.ndarray) -> EncoderModel:
+    """In-place Adam update (Kingma & Ba) of the whole flat buffer; bumps the model version."""
+    if grad.shape != model.flat.shape:
+        raise ParameterError(f"gradient shape {grad.shape} does not match {model.flat.shape}")
+    if not np.all(np.isfinite(grad)):
+        name = next(k for k, g in model.views(grad).items() if not np.all(np.isfinite(g)))
+        raise DivergenceError(f"non-finite gradient for {name!r}")
 
     state.step += 1
     t = state.step
-    lr = state.learning_rate
-    for name, g in grads.items():
-        if name not in state.m:
-            state.m[name] = np.zeros_like(g)
-            state.v[name] = np.zeros_like(g)
-        state.m[name] = state.beta1 * state.m[name] + (1.0 - state.beta1) * g
-        state.v[name] = state.beta2 * state.v[name] + (1.0 - state.beta2) * g * g
-        m_hat = state.m[name] / (1.0 - state.beta1**t)
-        v_hat = state.v[name] / (1.0 - state.beta2**t)
-        model.params[name] -= lr * m_hat / (np.sqrt(v_hat) + state.eps)
+    if state.m is None:
+        state.m, state.v = np.zeros_like(grad), np.zeros_like(grad)
+    state.m *= state.beta1
+    state.m += (1.0 - state.beta1) * grad
+    state.v *= state.beta2
+    state.v += (1.0 - state.beta2) * grad * grad
+    m_hat = state.m / (1.0 - state.beta1**t)
+    v_hat = state.v / (1.0 - state.beta2**t)
+    model.flat -= state.learning_rate * m_hat / (np.sqrt(v_hat) + state.eps)
     model.step += 1
     model.version += 1
     return model
 
 
+def train_epochs(
+    model: EncoderModel,
+    n: int,
+    epochs: int,
+    batch_size: int,
+    rng: np.random.Generator,
+    learning_rate: float,
+    step: Callable[[np.ndarray], tuple[tuple, np.ndarray] | None],
+    end_epoch: Callable[[int, np.ndarray | float, int], None],
+) -> None:
+    """Shuffled mini-batch Adam over ``range(n)``: one ``rng`` permutation per epoch.
+
+    ``step(batch)`` returns the batch's loss values and flat gradient, or None
+    to skip it. ``end_epoch(epoch, sums, batches)`` gets the values summed over
+    the stepped batches (0.0 if none) and their count.
+    """
+    if epochs < 0:
+        raise ParameterError("epochs must be >= 0")
+    adam = AdamState(learning_rate=learning_rate)
+    for epoch in range(epochs):
+        order = rng.permutation(n)
+        sums, batches = 0.0, 0
+        for lo in range(0, n, batch_size):
+            result = step(order[lo : lo + batch_size])
+            if result is None:
+                continue
+            values, grad = result
+            adam_step(adam, model, grad)
+            sums += np.asarray(values)
+            batches += 1
+        end_epoch(epoch, sums, batches)
+
+
+# The checkpoint's integer fields and the least value each may take: the
+# model dimensions in the order LAYERS first names them, the seed and the step.
+_CHECKPOINT_INTS = {**dict.fromkeys((d for *_, a, b in LAYERS for d in (a, b)), 1), "seed": 0, "step": 0}
+
+
 def save_checkpoint(model: EncoderModel, path: str) -> None:
-    doc = {
-        "input_dim": model.input_dim,
-        "hidden_dim": model.hidden_dim,
-        "feature_dim": model.feature_dim,
-        "instance_dim": model.instance_dim,
-        "cluster_count": model.cluster_count,
-        "ind_class_count": model.ind_class_count,
-        "dropout_rate": model.dropout_rate,
-        "seed": model.seed,
-        "step": model.step,
-        "weights": {k: v.ravel().tolist() for k, v in model.params.items()},
-    }
+    doc = {key: getattr(model, key) for key in (*_CHECKPOINT_INTS, "dropout_rate")}
+    doc["weights"] = {k: v.ravel().tolist() for k, v in model.params.items()}
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, sort_keys=True)
         fh.write("\n")
-
-
-# Integer checkpoint fields and the least value each may take.
-_CHECKPOINT_INTS = {
-    "input_dim": 1,
-    "hidden_dim": 1,
-    "feature_dim": 1,
-    "instance_dim": 1,
-    "cluster_count": 1,
-    "ind_class_count": 1,
-    "seed": 0,
-    "step": 0,
-}
 
 
 def _checkpoint_weight(path: str, weights: dict, name: str, size: int) -> np.ndarray:
@@ -332,19 +349,7 @@ def load_checkpoint(path: str) -> EncoderModel:
         raise DataError(f"checkpoint {path}: dropout_rate must be in [0, 1), got {rate!r}")
     if not isinstance(doc["weights"], dict):
         raise DataError(f"checkpoint {path}: weights must be an object")
-    model = EncoderModel.init(
-        input_dim=doc["input_dim"],
-        cluster_count=doc["cluster_count"],
-        ind_class_count=doc["ind_class_count"],
-        hidden_dim=doc["hidden_dim"],
-        feature_dim=doc["feature_dim"],
-        instance_dim=doc["instance_dim"],
-        dropout_rate=rate,
-        seed=doc["seed"],
-    )
-    for name in PARAM_NAMES:
-        init = model.params[name]
-        flat = _checkpoint_weight(path, doc["weights"], name, init.size)
-        model.params[name] = flat.reshape(init.shape)
-    model.step = doc["step"]
+    model = EncoderModel(**{key: doc[key] for key in _CHECKPOINT_INTS}, dropout_rate=rate)
+    for name, view in model.params.items():
+        view[...] = _checkpoint_weight(path, doc["weights"], name, view.size).reshape(view.shape)
     return model

@@ -16,7 +16,7 @@ import numpy as np
 
 from .contrast import masked_info_nce, stable_top_k_mask
 from .data import Dataset
-from .encoder import AdamState, EncoderModel, adam_step, backward, forward_batch
+from .encoder import EncoderModel, backward, forward_batch, train_epochs
 from .errors import DataError, EmptyObjectiveError, ParameterError
 from .numerics import unique_values
 
@@ -33,8 +33,8 @@ class KclConfig:
     def __post_init__(self):
         if self.k < 1:
             raise ParameterError(f"k must be >= 1, got {self.k}")
-        if self.tau <= 0:
-            raise ParameterError(f"tau must be positive, got {self.tau}")
+        if not 0 < self.tau < np.inf:
+            raise ParameterError(f"tau must be finite and > 0, got {self.tau}")
 
 
 @dataclass
@@ -176,8 +176,6 @@ def pretrain(
     Losses are logged as per-sample epoch means; class labels are remapped to
     a contiguous 0..C-1 range internally.
     """
-    if epochs < 0:
-        raise ParameterError("epochs must be >= 0")
     if batch_size < 1:
         raise ParameterError("batch_size must be >= 1")
     classes = ind_dataset.class_labels()
@@ -194,27 +192,20 @@ def pretrain(
 
     rng = np.random.default_rng(seed)
     queue = ContrastQueue(capacity=QUEUE_FACTOR * batch_size, dim=model.instance_dim)
-    adam = AdamState(learning_rate=learning_rate)
     log: list[PretrainEpoch] = []
     n = len(ind_dataset)
 
-    for epoch in range(epochs):
-        order = rng.permutation(n)
-        ce_sum = 0.0
-        kcl_sum = 0.0
-        for lo in range(0, n, batch_size):
-            batch = order[lo : lo + batch_size]
-            xb, yb = x[batch], y[batch]
-            refresh_queue(queue, model, yb, x, y, rng, by_class)
-            out = forward_batch(model, xb)
-            ce_total, d_logits = ce_loss_batch(out.logits_ind, yb)
-            kcl_total, d_f = kcl_loss(out.f, yb, queue, config)
-            grads = backward(model, out, d_f=d_f, d_logits_ind=config.ce_weight * d_logits)
-            adam_step(adam, model, grads)
-            ce_sum += ce_total
-            kcl_sum += kcl_total
-        ce_mean = ce_sum / n
-        kcl_mean = kcl_sum / n
+    def step(batch):
+        xb, yb = x[batch], y[batch]
+        refresh_queue(queue, model, yb, x, y, rng, by_class)
+        out = forward_batch(model, xb)
+        ce_total, d_logits = ce_loss_batch(out.logits_ind, yb)
+        kcl_total, d_f = kcl_loss(out.f, yb, queue, config)
+        grad = backward(model, out, d_f=d_f, d_logits_ind=config.ce_weight * d_logits)
+        return (ce_total, kcl_total), grad
+
+    def end_epoch(epoch, sums, batches):
+        ce_mean, kcl_mean = (float(v) for v in sums / n)
         log.append(
             PretrainEpoch(
                 epoch=epoch,
@@ -223,6 +214,8 @@ def pretrain(
                 total_loss=config.ce_weight * ce_mean + kcl_mean,
             )
         )
+
+    train_epochs(model, n, epochs, batch_size, rng, learning_rate, step, end_epoch)
     return model, log
 
 

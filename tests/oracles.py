@@ -1,4 +1,4 @@
-"""Per-anchor loop forms of the batched losses, queue refresh, distances and silhouette.
+"""Loop forms of the batched losses, queue refresh, distances, silhouette and Adam.
 
 Each function here is the plain loop the package's batched code replaced,
 kept as the reference that the batched code is property-tested against.
@@ -9,7 +9,7 @@ anchor at a time, ranking with ``stable_top_k``; the loop losses build on
 them and on ``contrastive_terms``.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -216,3 +216,30 @@ def silhouette_loop(features, assignments) -> float:
         top = max(a, b)
         scores[i] = 0.0 if top == 0.0 else (b - a) / top
     return float(np.mean(scores))
+
+
+@dataclass
+class AdamLoopState:
+    learning_rate: float
+    beta1: float = 0.9
+    beta2: float = 0.999
+    eps: float = 1e-8
+    step: int = 0
+    m: dict = field(default_factory=dict)
+    v: dict = field(default_factory=dict)
+
+
+def adam_step_loop(state: AdamLoopState, params: dict, grads: dict) -> None:
+    """Per-tensor Adam over a dict of parameters, updated in place."""
+    state.step += 1
+    t = state.step
+    lr = state.learning_rate
+    for name, g in grads.items():
+        if name not in state.m:
+            state.m[name] = np.zeros_like(g)
+            state.v[name] = np.zeros_like(g)
+        state.m[name] = state.beta1 * state.m[name] + (1.0 - state.beta1) * g
+        state.v[name] = state.beta2 * state.v[name] + (1.0 - state.beta2) * g * g
+        m_hat = state.m[name] / (1.0 - state.beta1**t)
+        v_hat = state.v[name] / (1.0 - state.beta2**t)
+        params[name] -= lr * m_hat / (np.sqrt(v_hat) + state.eps)

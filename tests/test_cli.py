@@ -21,6 +21,7 @@ from kcod.cli import (
 from kcod.data import Dataset, load_assignments, load_jsonl, save_assignments, save_jsonl
 from kcod.encoder import EncoderModel, load_checkpoint, save_checkpoint
 from kcod.errors import ParameterError
+from kcod.pretrain import KclConfig, pretrain
 
 MICRO = [
     "--classes", "4", "--per-class", "12", "--dim", "5",
@@ -91,6 +92,15 @@ class TestGenerate:
         assert main(["generate", "--out", str(tmp_path / "x"), "--frobnicate", "1"]) == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize(
+        "flag, value", [("--center-scale", "nan"), ("--noise-sigma", "nan"), ("--noise-sigma", "inf")]
+    )
+    def test_non_finite_generator_input_is_usage_error(self, tmp_path, capsys, flag, value):
+        out = tmp_path / "x"
+        assert main(["generate", "--out", str(out), flag, value]) == 2
+        assert not (out / "ind.jsonl").exists()
+        capsys.readouterr()
+
 
 class TestPretrain:
     def test_zero_epochs_checkpoint_equals_init(self, tmp_path):
@@ -131,6 +141,24 @@ class TestPretrain:
         )
         assert code == 4
         capsys.readouterr()
+
+    @pytest.mark.parametrize("rate", ["-1", "0", "nan", "inf"])
+    def test_bad_learning_rate_is_usage_error(self, tmp_path, capsys, rate):
+        gen(tmp_path / "d")
+        code = main(
+            ["pretrain", "--ind", str(tmp_path / "d" / "ind.jsonl"), "--out", str(tmp_path / "p"),
+             "--epochs", "3", "--batch", "8", "--lr", rate] + SMALL_NET
+        )
+        assert code == 2
+        assert "learning rate" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("rate", [0.0, -1e-3, float("nan"), float("inf")])
+    def test_library_call_rejects_bad_learning_rate(self, tmp_path, rate):
+        gen(tmp_path / "d")
+        ind = load_jsonl(str(tmp_path / "d" / "ind.jsonl"))
+        model = EncoderModel.init(input_dim=5, cluster_count=2, ind_class_count=2, seed=0)
+        with pytest.raises(ParameterError, match="learning rate"):
+            pretrain(model, ind, epochs=1, batch_size=8, config=KclConfig(), seed=0, learning_rate=rate)
 
 
 class TestCluster:
@@ -297,6 +325,25 @@ class TestPipelineAndSweep:
     PIPE = [
         "--epochs", "4", "--batch", "8", "--k-neg", "8",
     ] + MICRO + SMALL_NET
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--tau", "nan"),
+            ("--tau", "inf"),
+            ("--tau-clu", "nan"),
+            ("--reg-weight", "nan"),
+            ("--reg-weight", "inf"),
+            ("--lr-pretrain", "0"),
+            ("--lr-cluster", "inf"),
+            ("--lr-cluster", "-1"),
+        ],
+    )
+    def test_bad_setting_is_usage_error_before_any_stage(self, tmp_path, capsys, flag, value):
+        out = tmp_path / "run"
+        assert main(["pipeline", "--out", str(out), "--seed", "0", flag, value] + self.PIPE) == 2
+        assert not (out / "data").exists()
+        capsys.readouterr()
 
     def test_single_run_artifacts(self, tmp_path):
         out = tmp_path / "run"

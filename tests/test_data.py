@@ -58,6 +58,9 @@ class TestGenBlobs:
             gen_blobs(3, 0, 4, 1.0, 1.0, 0)
         with pytest.raises(ParameterError):
             gen_blobs(3, 5, 4, 1.0, -0.1, 0)
+        for center_scale, noise_sigma in ((np.nan, 1.0), (-np.inf, 1.0), (5.0, np.nan), (5.0, np.inf)):
+            with pytest.raises(ParameterError):
+                gen_blobs(3, 5, 4, center_scale, noise_sigma, 0)
 
 
 class TestSplit:

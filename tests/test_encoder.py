@@ -15,6 +15,7 @@ from kcod.encoder import (
 )
 from kcod.errors import DataError, DivergenceError, ParameterError, StaleCacheError
 from kcod.numerics import finite_diff_grad_nd, relative_error
+from oracles import AdamLoopState, adam_step_loop
 
 
 def small_model(seed=0, dropout=0.1):
@@ -143,12 +144,12 @@ class TestGradients:
         d_logits = rng.normal(size=(4, model.ind_class_count))
 
         out = forward_batch(model, x, keep)
-        grads = backward(model, out, d_f=d_f, d_g=d_g, d_logits_ind=d_logits)
+        grads = model.views(backward(model, out, d_f=d_f, d_g=d_g, d_logits_ind=d_logits))
 
         def probe(name):
             def fn(theta):
                 trial = model.copy()
-                trial.params[name] = theta
+                trial.params[name][...] = theta
                 o = forward_batch(trial, x, keep)
                 return float(
                     np.sum(d_f * o.f) + np.sum(d_g * o.g) + np.sum(d_logits * o.logits_ind)
@@ -166,7 +167,7 @@ class TestGradients:
         model = small_model(seed=11)
         x = np.random.default_rng(12).normal(size=(3, 5))
         out = forward_batch(model, x)
-        grads = backward(model, out, d_f=np.ones((3, model.instance_dim)))
+        grads = model.views(backward(model, out, d_f=np.ones((3, model.instance_dim))))
         assert np.all(grads["w4"] == 0.0) and np.all(grads["w5"] == 0.0)
         assert np.any(grads["w3"] != 0.0)
         assert np.any(grads["w1"] != 0.0)
@@ -189,9 +190,11 @@ class TestGradients:
             keep = out.cache["keep"]
             d_f = rng.normal(size=(2 * n, model.instance_dim))
             d_g = rng.normal(size=(2 * n, model.cluster_count))
-            stacked = backward(model, out, d_f=d_f, d_g=d_g)
+            stacked = model.views(backward(model, out, d_f=d_f, d_g=d_g))
             halves = [
-                backward(model, forward_batch(model, x, keep[rows]), d_f=d_f[rows], d_g=d_g[rows])
+                model.views(
+                    backward(model, forward_batch(model, x, keep[rows]), d_f=d_f[rows], d_g=d_g[rows])
+                )
                 for rows in (slice(0, n), slice(n, 2 * n))
             ]
             assert sorted(stacked) == sorted(model.params)
@@ -201,21 +204,22 @@ class TestGradients:
 
 
 class TestAdam:
-    def test_rejects_unknown_and_misshapen_and_nonfinite(self):
+    def test_rejects_misshapen_and_nonfinite(self):
         model = small_model()
         with pytest.raises(ParameterError):
-            adam_step(AdamState(), model, {"nope": np.zeros(3)})
+            adam_step(AdamState(), model, np.zeros(3))
         with pytest.raises(ParameterError):
-            adam_step(AdamState(), model, {"w1": np.zeros((1, 1))})
-        bad = {"w1": np.full_like(model.params["w1"], np.nan)}
-        with pytest.raises(DivergenceError):
+            adam_step(AdamState(), model, np.zeros(model.flat.size + 1))
+        bad = np.zeros_like(model.flat)
+        model.views(bad)["w3"][1, 2] = np.nan
+        with pytest.raises(DivergenceError, match="non-finite gradient for 'w3'"):
             adam_step(AdamState(), model, bad)
 
     def test_counts_advance(self):
         model = small_model()
         state = AdamState()
         v0, s0 = model.version, model.step
-        adam_step(state, model, {"w1": np.zeros_like(model.params["w1"])})
+        adam_step(state, model, np.zeros_like(model.flat))
         assert model.version == v0 + 1
         assert model.step == s0 + 1
         assert state.step == 1
@@ -224,9 +228,29 @@ class TestAdam:
         model = small_model(seed=21)
         state = AdamState(learning_rate=0.05)
         start = float(np.sum(model.params["w1"] ** 2))
+        grad = np.zeros_like(model.flat)
         for _ in range(300):
-            adam_step(state, model, {"w1": 2.0 * model.params["w1"]})
+            model.views(grad)["w1"][...] = 2.0 * model.params["w1"]
+            adam_step(state, model, grad)
         assert float(np.sum(model.params["w1"] ** 2)) < 0.01 * start
+
+    def test_flat_update_equals_per_tensor_loop(self):
+        # 240 random steps on the quickstart shapes. The cluster head's gradient is
+        # zero for the first 40 steps, as in pre-training, and on every sixth after.
+        model = EncoderModel.init(input_dim=16, cluster_count=3, ind_class_count=7, seed=4)
+        params = {name: value.copy() for name, value in model.params.items()}
+        flat_state, loop_state = AdamState(learning_rate=5e-3), AdamLoopState(learning_rate=5e-3)
+        rng = np.random.default_rng(5)
+        for t in range(240):
+            grad = rng.normal(scale=10.0 ** rng.integers(-6, 3), size=model.flat.size)
+            if t < 40 or t % 6 == 0:
+                model.views(grad)["w4"][...] = 0.0
+                model.views(grad)["b4"][...] = 0.0
+            adam_step_loop(loop_state, params, model.views(grad.copy()))
+            adam_step(flat_state, model, grad)
+            for name, value in params.items():
+                assert np.array_equal(model.params[name], value), (t, name)
+        assert flat_state.step == loop_state.step == 240
 
 
 class TestCopies:
@@ -249,6 +273,19 @@ class TestCopies:
     def test_cluster_head_swap_validates(self):
         with pytest.raises(ParameterError):
             small_model().with_cluster_count(0, seed=0)
+
+    def test_params_are_views_of_one_buffer(self, tmp_path):
+        model = small_model()
+        path = str(tmp_path / "model.json")
+        save_checkpoint(model, path)
+        clone = model.copy()
+        for m in (model, clone, model.with_cluster_count(9, seed=3), load_checkpoint(path)):
+            assert m.flat.shape == (sum(v.size for v in m.params.values()),)
+            for name, value in m.params.items():
+                assert np.shares_memory(value, m.flat), name
+        assert not np.shares_memory(clone.flat, model.flat)
+        for name, value in clone.params.items():
+            assert not np.shares_memory(value, model.flat), name
 
 
 class TestCheckpoints:
